@@ -75,6 +75,27 @@ cmp "$tmp/replay.txt" "$tmp/fullrun.txt"
 "$tmp/glitchemu" -max-flips 3 -workers 4 -out "$tmp/replay_par.txt"
 cmp "$tmp/replay.txt" "$tmp/replay_par.txt"
 
+# Table VI gates. The default engine (a trigger-point snapshot restored
+# per attempt, an explicit flash seed per attempt and the loop-cycle stop)
+# must render byte-identically to the reference path that boots every
+# attempt from reset and runs it to its budget (-full-run). A
+# deadline-interrupted run must exit 3, and its resume must match the
+# uninterrupted run's output.
+go build -o "$tmp/glitcheval" ./cmd/glitcheval
+"$tmp/glitcheval" -exp table6 -out "$tmp/table6.txt"
+"$tmp/glitcheval" -exp table6 -full-run -out "$tmp/table6_full.txt"
+cmp "$tmp/table6.txt" "$tmp/table6_full.txt"
+status=0
+"$tmp/glitcheval" -exp table6 -run-dir "$tmp/table6run" -deadline 1s \
+	-out "$tmp/table6_partial.txt" 2>/dev/null || status=$?
+if [ "$status" -ne 3 ]; then
+	echo "ci: deadline-interrupted table6 run exited $status, want 3" >&2
+	exit 1
+fi
+"$tmp/glitcheval" -exp table6 -run-dir "$tmp/table6run" -resume \
+	-out "$tmp/table6_resumed.txt"
+cmp "$tmp/table6.txt" "$tmp/table6_resumed.txt"
+
 # Differential-fuzzing gates. First sanity-check the committed seed corpora
 # (directory names must be Fuzz* harnesses, every file must carry the native
 # corpus header), then give each harness a short coverage-guided smoke run.

@@ -66,7 +66,7 @@ func run() error {
 	workers := flag.Int("workers", campaign.DefaultWorkers(),
 		"figure2: worker goroutines sharding the campaign (1 = serial)")
 	fullRun := flag.Bool("full-run", false,
-		"figure2: re-simulate the prologue per execution instead of trigger-point replay")
+		"figure2, table6: re-simulate the boot per attempt instead of trigger-point replay (table6: also no loop-cycle stop)")
 	cli := obs.RegisterCLIFlags(flag.CommandLine)
 	rcli := runctl.RegisterCLIFlags(flag.CommandLine)
 	flag.Parse()

@@ -72,12 +72,12 @@ func run() error {
 		for cycle := 0; cycle < 200; cycle++ {
 			m.Board.Reset()
 			c := cycle
-			m.Glitch = func(rel, window int) (pipeline.Event, bool) {
+			m.Glitch = pipeline.InjectorFunc(func(rel, window int) (pipeline.Event, bool) {
 				if rel == c {
 					return pipeline.Event{Kind: pipeline.EventSkip}, true
 				}
 				return pipeline.Event{}, false
-			}
+			})
 			r := m.Run(10_000_000)
 			switch r.Tag {
 			case "success":

@@ -62,12 +62,12 @@ func TestBranchSkipDetected(t *testing.T) {
 	for cycle := 0; cycle < 120; cycle++ {
 		m.Board.Reset()
 		cyc := cycle
-		m.Glitch = func(rel, window int) (pipeline.Event, bool) {
+		m.Glitch = pipeline.InjectorFunc(func(rel, window int) (pipeline.Event, bool) {
 			if rel == cyc {
 				return pipeline.Event{Kind: pipeline.EventSkip}, true
 			}
 			return pipeline.Event{}, false
-		}
+		})
 		r := m.Run(30_000)
 		switch r.Tag {
 		case "success":

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -208,12 +209,32 @@ func Table6Scenarios() []Scenario {
 const table6Settle = 6_000
 
 // RunTable6Cell scans one (scenario, defense, attack) cell over the full
-// parameter grid. rn, when non-nil, is polled for cancellation every
+// parameter grid. Every attempt is a pure function of (model seed, cell,
+// n), where n is the attempt's index in the cell's grid order (span by
+// span, grid points the fast path skips included): attempt n boots with
+// flash seed word n and an otherwise pristine flash image, as if it were
+// the n-th boot of a freshly programmed board (see DESIGN.md, Table VI
+// engine). rn, when non-nil, is polled for cancellation every
 // spansCheckEvery grid points and between spans; an interrupted cell
 // returns its partial counts with an error wrapping runctl.ErrInterrupted
 // (the caller does not checkpoint partial cells).
 func RunTable6Cell(model *glitcher.Model, sc Scenario, cfg passes.Config,
 	attack Attack, rn *runctl.Run) (Table6Cell, error) {
+	return runTable6Cell(model, sc, cfg, attack, rn, nil)
+}
+
+// table6Attempt describes one executed Table VI attempt to a test visitor.
+type table6Attempt struct {
+	N           uint32 // grid-order index: the attempt's flash seed word
+	P           glitcher.Params
+	From, To    int             // glitch window, relative to the trigger
+	Budget      uint64          // absolute cycle budget
+	Result      pipeline.Result // classification-relevant: Reason and Tag
+	FlashWrites int             // flash stores beyond the boot's own
+}
+
+func runTable6Cell(model *glitcher.Model, sc Scenario, cfg passes.Config,
+	attack Attack, rn *runctl.Run, visit func(table6Attempt)) (Table6Cell, error) {
 	cr, err := Compile(sc.Source, cfg)
 	if err != nil {
 		return Table6Cell{}, fmt.Errorf("core: table6 %s/%s: %w",
@@ -223,16 +244,25 @@ func RunTable6Cell(model *glitcher.Model, sc Scenario, cfg passes.Config,
 	if err != nil {
 		return Table6Cell{}, err
 	}
+	b := newTable6Board(m, cr.Image)
 	// Measure the trigger's boot offset and the guard's span once. The
 	// paper sweeps 11 glitch positions over its 8-10 cycle guard; our
 	// unoptimized code generator dilates a defended guard iteration to
 	// tens of cycles, so the equivalent-intent sweep places the same 11
 	// positions uniformly across one guard iteration (see EXPERIMENTS.md
 	// for this substitution's rationale).
-	bootCycles, guardSpan, err := measureGuard(m, cr.Image)
+	bootCycles, guardSpan, loopAddr, err := measureGuard(m, cr.Image)
 	if err != nil {
 		return Table6Cell{}, fmt.Errorf("core: table6 %s/%s: %w",
 			sc.Name, cfg.Name(), err)
+	}
+	if err := b.capture(); err != nil {
+		return Table6Cell{}, fmt.Errorf("core: table6 %s/%s: %w",
+			sc.Name, cfg.Name(), err)
+	}
+	if !model.FullRun {
+		b.replay = true
+		m.LoopStop = loopAddr
 	}
 
 	type span struct{ from, to int }
@@ -254,12 +284,14 @@ func RunTable6Cell(model *glitcher.Model, sc Scenario, cfg passes.Config,
 	}
 
 	var cell Table6Cell
+	var n uint32 // attempt index in grid order, skipped points included
 	for _, sp := range spans {
 		if err := rn.Err(); err != nil {
 			return cell, err
 		}
 		aborted := false
 		sinceCheck := 0
+		budget := bootCycles + uint64(sp.to) + table6Settle
 		glitcher.GridUntil(func(p glitcher.Params) bool {
 			if sinceCheck++; sinceCheck >= spansCheckEvery {
 				sinceCheck = 0
@@ -269,6 +301,8 @@ func RunTable6Cell(model *glitcher.Model, sc Scenario, cfg passes.Config,
 				}
 			}
 			cell.Total++
+			attempt := n
+			n++
 			// Deterministic fast path: a parameter point that delivers
 			// no event anywhere in the window cannot change the run.
 			any := false
@@ -278,14 +312,16 @@ func RunTable6Cell(model *glitcher.Model, sc Scenario, cfg passes.Config,
 			if !any {
 				return true
 			}
-			m.Board.Reset()
-			m.Glitch = model.RangePlan(p, sp.from, sp.to)
-			r := m.Run(bootCycles + uint64(sp.to) + table6Settle)
+			r := b.attempt(attempt, model.RangePlan(p, sp.from, sp.to), budget)
 			switch {
 			case r.Reason == pipeline.StopHit && r.Tag == "success":
 				cell.Successes++
 			case r.Reason == pipeline.StopHit && r.Tag == passes.DetectFunc:
 				cell.Detections++
+			}
+			if visit != nil {
+				visit(table6Attempt{N: attempt, P: p, From: sp.from, To: sp.to,
+					Budget: budget, Result: r, FlashWrites: b.strayFlashWrites()})
 			}
 			return true
 		})
@@ -294,6 +330,87 @@ func RunTable6Cell(model *glitcher.Model, sc Scenario, cfg passes.Config,
 		}
 	}
 	return cell, nil
+}
+
+// table6Board runs Table VI attempts on one machine, each from the same
+// initial conditions except its flash seed word. With replay set it
+// restores a trigger-point snapshot per attempt (the dirty-page restore
+// undoes every store the previous attempt made, flash included) and then
+// writes the attempt's seed where the boot would have left it. Without
+// replay it takes the reference path: reset the board, reload the
+// pristine flash image with the attempt's seed word and run the whole
+// boot, with no early stop.
+type table6Board struct {
+	m        *pipeline.Machine
+	flash    []byte // the flash region's data
+	image    []byte // pristine flash image (program, seed word 0)
+	ramSeed  uint32 // the delay defense's in-RAM seed address, 0 if none
+	snap     *pipeline.Snapshot
+	replay   bool   // attempts resume from snap
+	seedStep uint32 // flash seed increment of one boot
+	flashAt  int    // flash writes at the trigger point
+}
+
+func newTable6Board(m *pipeline.Machine, img *codegen.Image) *table6Board {
+	r, _ := m.Board.Mem.Region(firmware.FlashBase, 4)
+	b := &table6Board{m: m, flash: r.Data, image: append([]byte(nil), r.Data...)}
+	if addr, ok := img.GlobalAddrs["__gr_seed_ram"]; ok {
+		b.ramSeed = addr
+	}
+	return b
+}
+
+// reset puts the board in its power-up state with the pristine flash
+// image and flash seed word n.
+func (b *table6Board) reset(n uint32) {
+	b.m.Board.Reset()
+	copy(b.flash, b.image)
+	binary.LittleEndian.PutUint32(b.flash[firmware.SeedAddr-firmware.FlashBase:], n)
+}
+
+// capture boots with seed word 0 to the trigger and snapshots it, noting
+// how the boot moved the seed and how many flash writes it made. The
+// reference path only uses those notes and never restores the snapshot.
+func (b *table6Board) capture() error {
+	b.reset(0)
+	b.m.Glitch = nil
+	snap := b.m.SnapshotAtTrigger(table6BootBudget)
+	if snap == nil {
+		return fmt.Errorf("firmware never triggers")
+	}
+	b.snap = snap
+	b.seedStep = b.m.Board.SeedWord()
+	b.flashAt = b.m.Board.FlashWrites
+	if b.ramSeed != 0 {
+		if v, _ := b.m.Board.Mem.ReadWord(b.ramSeed); v != b.seedStep {
+			return fmt.Errorf("in-RAM seed %#x at the trigger, want %#x", v, b.seedStep)
+		}
+	}
+	return nil
+}
+
+// attempt runs attempt n under inj.
+func (b *table6Board) attempt(n uint32, inj pipeline.Injector, budget uint64) pipeline.Result {
+	m := b.m
+	if !b.replay {
+		b.reset(n)
+		m.Glitch = inj
+		return m.Run(budget)
+	}
+	m.RestoreSnapshot(b.snap)
+	seed := n + b.seedStep
+	m.Board.Mem.StoreWord(firmware.SeedAddr, seed)
+	if b.ramSeed != 0 {
+		m.Board.Mem.StoreWord(b.ramSeed, seed)
+	}
+	m.Glitch = inj
+	return m.Resume(budget)
+}
+
+// strayFlashWrites reports how many flash stores the last attempt made
+// beyond its boot's own.
+func (b *table6Board) strayFlashWrites() int {
+	return b.m.Board.FlashWrites - b.flashAt
 }
 
 // spansCheckEvery is how many grid points a Table VI span scans between
@@ -314,10 +431,14 @@ func samplePositions(span int) []int {
 	return out
 }
 
+// table6BootBudget bounds the clean boot Table VI measures and snapshots.
+const table6BootBudget = firmware.FlashWriteCycles + 80_000
+
 // measureGuard runs the firmware clean and reports the trigger's boot
 // offset plus the guard's cycle span: for looping guards, one loop
-// iteration; for straight-line guards, the trigger-to-halt distance.
-func measureGuard(m *pipeline.Machine, img *codegen.Image) (boot uint64, span int, err error) {
+// iteration; for straight-line guards, the trigger-to-halt distance. loop
+// is main's first loop header, 0 if it has none.
+func measureGuard(m *pipeline.Machine, img *codegen.Image) (boot uint64, span int, loop uint32, err error) {
 	// Find the first loop-header block of main, if any.
 	var loopAddr uint32
 	for name, addr := range img.Prog.Symbols {
@@ -337,10 +458,10 @@ func measureGuard(m *pipeline.Machine, img *codegen.Image) (boot uint64, span in
 	}
 	m.Board.Reset()
 	m.Glitch = nil
-	r := m.Run(firmware.FlashWriteCycles + 80_000)
+	r := m.Run(table6BootBudget)
 	cpu.Hooks.OnExec = prevExec
 	if m.Board.TriggerCount == 0 {
-		return 0, 0, fmt.Errorf("firmware never triggers")
+		return 0, 0, 0, fmt.Errorf("firmware never triggers")
 	}
 	boot = m.Board.TriggerCycle
 	switch {
@@ -350,12 +471,12 @@ func measureGuard(m *pipeline.Machine, img *codegen.Image) (boot uint64, span in
 	case r.Reason == pipeline.StopHit:
 		span = int(r.Cycles - boot)
 	default:
-		return 0, 0, fmt.Errorf("cannot determine guard span")
+		return 0, 0, 0, fmt.Errorf("cannot determine guard span")
 	}
 	if span < 1 {
 		span = 1
 	}
-	return boot, span, nil
+	return boot, span, loopAddr, nil
 }
 
 // Table6Result holds the full defense-efficacy matrix.

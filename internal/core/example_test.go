@@ -55,12 +55,12 @@ func ExampleNewMachine() {
 		return
 	}
 	m.Board.Reset()
-	m.Glitch = func(rel, window int) (pipeline.Event, bool) {
+	m.Glitch = pipeline.InjectorFunc(func(rel, window int) (pipeline.Event, bool) {
 		if rel == 40 {
 			return pipeline.Event{Kind: pipeline.EventSkip}, true
 		}
 		return pipeline.Event{}, false
-	}
+	})
 	r := m.Run(100_000)
 	fmt.Printf("run ended at: %s\n", r.Tag)
 	// Output:

@@ -1,0 +1,135 @@
+package core
+
+import (
+	"encoding/binary"
+	"testing"
+
+	"glitchlab/internal/firmware"
+	"glitchlab/internal/glitcher"
+	"glitchlab/internal/passes"
+	"glitchlab/internal/pipeline"
+)
+
+// oracleStride picks every oracleStride-th executed attempt of a cell for
+// the fresh-board oracle: a deterministic sample that still reaches a few
+// dozen attempts in the sparsest (Single) cells.
+const oracleStride = 97
+
+// freshAttempt reruns one Table VI attempt the reference way: a fresh
+// board whose flash seed word is preset to the attempt index, a full Run
+// from reset, no snapshot and no early stop.
+func freshAttempt(t *testing.T, model *glitcher.Model, cr *CompileResult, a table6Attempt) pipeline.Result {
+	t.Helper()
+	m, err := NewMachine(cr.Image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seed [4]byte
+	binary.LittleEndian.PutUint32(seed[:], a.N)
+	if err := m.Board.Mem.Write(firmware.SeedAddr, seed[:]); err != nil {
+		t.Fatal(err)
+	}
+	m.Glitch = model.RangePlan(a.P, a.From, a.To)
+	return m.Run(a.Budget)
+}
+
+func sameClass(a, b pipeline.Result) bool { return a.Reason == b.Reason && a.Tag == b.Tag }
+
+// TestTable6AttemptIndependence is the attempt-independence oracle: in
+// every Table VI cell, a stride of the attempts the cell executes in
+// sequence (snapshot restore, explicit seed, loop-cycle stop) must be
+// classified exactly as on a fresh board with the flash seed word preset
+// to the attempt's index and a full run.
+func TestTable6AttemptIndependence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs all 12 Table VI cells")
+	}
+	model := glitcher.NewModel(DefaultSeed)
+	for _, sc := range Table6Scenarios() {
+		for _, cfg := range Table6Configs(sc.Sensitive...) {
+			cr, err := Compile(sc.Source, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, attack := range Attacks() {
+				var picked []table6Attempt
+				executed := 0
+				if _, err := runTable6Cell(model, sc, cfg, attack, nil, func(a table6Attempt) {
+					if executed%oracleStride == 0 {
+						picked = append(picked, a)
+					}
+					executed++
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if len(picked) < 20 {
+					t.Fatalf("%s/%s/%s: only %d attempts sampled", sc.Name, cfg.Name(), attack, len(picked))
+				}
+				for _, a := range picked {
+					if want := freshAttempt(t, model, cr, a); !sameClass(a.Result, want) {
+						t.Errorf("%s/%s/%s attempt %d %+v [%d,%d): got %v/%q, fresh board %v/%q",
+							sc.Name, cfg.Name(), attack, a.N, a.P, a.From, a.To,
+							a.Result.Reason, a.Result.Tag, want.Reason, want.Tag)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTable6StrayFlashStoreDoesNotLeak pins the bug attempt independence
+// fixes: an attempt whose glitched code stores into flash must leave the
+// next executed attempt exactly as a fresh board would run it.
+func TestTable6StrayFlashStoreDoesNotLeak(t *testing.T) {
+	model := glitcher.NewModel(DefaultSeed)
+	sc := Table6Scenarios()[0] // while(!a)
+	cfg := passes.AllButDelay(sc.Sensitive...)
+	cr, err := Compile(sc.Source, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stray []table6Attempt // pairs: (attempt i, attempt i+1)
+	prevStray := false
+	if _, err := runTable6Cell(model, sc, cfg, AttackLong, nil, func(a table6Attempt) {
+		if prevStray {
+			stray = append(stray, a)
+		}
+		prevStray = a.FlashWrites > 0
+		if prevStray {
+			stray = append(stray, a)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(stray) < 2 {
+		t.Fatal("no attempt stored into flash; the regression test lost its subject")
+	}
+	for i := 0; i+1 < len(stray); i += 2 {
+		for _, a := range stray[i : i+2] {
+			if want := freshAttempt(t, model, cr, a); !sameClass(a.Result, want) {
+				t.Errorf("attempt %d %+v [%d,%d): got %v/%q, fresh board %v/%q",
+					a.N, a.P, a.From, a.To, a.Result.Reason, a.Result.Tag, want.Reason, want.Tag)
+			}
+		}
+	}
+}
+
+// TestTable6FullRunMatchesReplay checks the reference path (Model.FullRun)
+// against the default engine on one delay-build cell, count for count.
+func TestTable6FullRunMatchesReplay(t *testing.T) {
+	sc := Table6Scenarios()[1] // if(a==SUCCESS)
+	cfg := passes.All(sc.Sensitive...)
+	fast, err := RunTable6Cell(glitcher.NewModel(DefaultSeed), sc, cfg, AttackSingle, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := glitcher.NewModel(DefaultSeed)
+	ref.FullRun = true
+	full, err := RunTable6Cell(ref, sc, cfg, AttackSingle, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast != full {
+		t.Fatalf("replay %+v != full run %+v", fast, full)
+	}
+}

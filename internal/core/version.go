@@ -13,7 +13,7 @@ import (
 // numbers. Cached daemon results are keyed on ResultStamp, so the bump is
 // what retires every result computed by the previous engine — the same
 // contract analyze.RulesVersion gives the corpus-lint cache.
-const EngineRevision = 1
+const EngineRevision = 2
 
 // ResultStamp fingerprints the result-producing engines for cache keys:
 // the manual EngineRevision plus the static-analysis registry version

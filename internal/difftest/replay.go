@@ -22,24 +22,24 @@ const replayBudget = 500_000_000
 func replayInjectors() []pipeline.Injector {
 	return []pipeline.Injector{
 		nil, // clean replay
-		func(rel, window int) (pipeline.Event, bool) {
+		pipeline.InjectorFunc(func(rel, window int) (pipeline.Event, bool) {
 			if rel == 2 && window == 0 {
 				return pipeline.Event{Kind: pipeline.EventSkip}, true
 			}
 			return pipeline.Event{}, false
-		},
-		func(rel, window int) (pipeline.Event, bool) {
+		}),
+		pipeline.InjectorFunc(func(rel, window int) (pipeline.Event, bool) {
 			if rel >= 1 && rel <= 4 {
 				return pipeline.Event{Kind: pipeline.EventExecCorrupt, InstMask: 0x0840}, true
 			}
 			return pipeline.Event{}, false
-		},
-		func(rel, window int) (pipeline.Event, bool) {
+		}),
+		pipeline.InjectorFunc(func(rel, window int) (pipeline.Event, bool) {
 			if rel == 0 {
 				return pipeline.Event{Kind: pipeline.EventRegCorrupt, Reg: isa.R3, DataMask: 0xFF}, true
 			}
 			return pipeline.Event{}, false
-		},
+		}),
 	}
 }
 

@@ -120,6 +120,15 @@ func (m *Memory) store(addr, size, val uint32) (*Region, bool) {
 	return r, true
 }
 
+// StoreWord writes a 32-bit little-endian word the way a CPU store does,
+// marking the page dirty for an armed snapshot, but without the CPU's store
+// hooks (no peripheral side effects). It reports false for unmapped or
+// read-only addresses.
+func (m *Memory) StoreWord(addr, val uint32) bool {
+	_, ok := m.store(addr, 4, val)
+	return ok
+}
+
 // ReadWord reads a 32-bit little-endian word, bypassing permissions (used by
 // post-mortem inspection).
 func (m *Memory) ReadWord(addr uint32) (uint32, bool) {

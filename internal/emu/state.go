@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"encoding/binary"
 	"math/bits"
 
 	"glitchlab/internal/isa"
@@ -98,4 +99,30 @@ func (s *MemSnapshot) Restore() {
 			r.dirty[wi] = 0
 		}
 	}
+}
+
+// AppendDirty appends an image of the memory that differs from the
+// snapshot: for each writable region, its dirty-page bitmap followed by
+// the current contents of every dirty page. Pages outside the bitmap still
+// hold the snapshot's bytes, so two images taken since the same Restore
+// are equal only if every writable byte is equal. The converse need not
+// hold: a page first dirtied between two images makes them unequal even
+// if its bytes did not change. The same untracked-write caveat as Restore
+// applies.
+func (s *MemSnapshot) AppendDirty(dst []byte) []byte {
+	for _, rs := range s.regions {
+		r := rs.region
+		for _, w := range r.dirty {
+			dst = binary.LittleEndian.AppendUint64(dst, w)
+		}
+		for wi, w := range r.dirty {
+			for w != 0 {
+				b := bits.TrailingZeros64(w)
+				w &^= 1 << b
+				lo := (wi<<6 + b) << snapPageShift
+				dst = append(dst, r.Data[lo:min(lo+1<<snapPageShift, len(r.Data))]...)
+			}
+		}
+	}
+	return dst
 }

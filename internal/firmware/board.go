@@ -138,19 +138,17 @@ func (b *Board) Reset() {
 	b.TriggerCycle = 0
 	b.FlashWrites = 0
 	if ram, ok := b.Mem.Region(RAMBase, 4); ok {
-		fillPowerUpPattern(ram.Data)
+		copy(ram.Data, powerUpRAM[:])
 	}
 	if gpio, ok := b.Mem.Region(GPIOBase, 4); ok {
-		for i := range gpio.Data {
-			gpio.Data[i] = 0
-		}
+		clear(gpio.Data)
 	}
 }
 
-// fillPowerUpPattern writes the deterministic power-up garbage pattern.
-// A fixed seed keeps every experiment exactly reproducible while giving
-// the stack realistic non-zero residue.
-func fillPowerUpPattern(data []byte) {
+// powerUpRAM is the deterministic power-up garbage pattern Reset copies
+// into SRAM, computed once. A fixed seed keeps every experiment exactly
+// reproducible while giving the stack realistic non-zero residue.
+var powerUpRAM = func() (data [RAMSize]byte) {
 	x := uint64(0x5eed0f2a)
 	for i := range data {
 		x += 0x9e3779b97f4a7c15
@@ -158,7 +156,8 @@ func fillPowerUpPattern(data []byte) {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		data[i] = byte(z ^ (z >> 31))
 	}
-}
+	return data
+}()
 
 // Symbol returns a program symbol's address.
 func (b *Board) Symbol(name string) (uint32, bool) {

@@ -1,6 +1,8 @@
 package firmware
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"glitchlab/internal/isa"
@@ -67,6 +69,20 @@ func TestPowerUpPatternDeterministicAndNonZero(t *testing.T) {
 	// stack residue is unrealistically empty.
 	if zero > len(r1.Data)/64 {
 		t.Errorf("%d of %d power-up bytes are zero", zero, len(r1.Data))
+	}
+}
+
+// TestPowerUpPatternPinned pins the SRAM power-up bytes: Reset copies a
+// precomputed pattern, and every experiment's stack residue depends on it
+// being exactly the splitmix stream it always was.
+func TestPowerUpPatternPinned(t *testing.T) {
+	b := newBoard(t)
+	ram, _ := b.Mem.Region(RAMBase, 4)
+	ram.Data[0] ^= 0xff // Reset must repaint what a previous run wrote
+	b.Reset()
+	const want = "e67bd8e0ddf343976480f59877048db170d1acf7199b1428d2e4fe1089dc3a60"
+	if got := fmt.Sprintf("%x", sha256.Sum256(ram.Data)); got != want {
+		t.Fatalf("power-up SRAM digest %s, want %s", got, want)
 	}
 }
 

@@ -1,6 +1,8 @@
 package glitcher
 
 import (
+	"math"
+	"sync"
 	"testing"
 
 	"glitchlab/internal/pipeline"
@@ -33,6 +35,37 @@ func TestStrengthBounds(t *testing.T) {
 			t.Fatalf("strength(%+v) = %f", p, s)
 		}
 	})
+}
+
+// TestStrengthTableBitIdentical checks the memoized strength against the
+// direct computation bit for bit, with the table filled by racing
+// goroutines (run under -race in ci.sh) and rebuilt after a seed change.
+func TestStrengthTableBitIdentical(t *testing.T) {
+	m := NewModel(0xC1A55)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			Grid(func(p Params) { m.strengthAt(p) })
+		}()
+	}
+	wg.Wait()
+	for _, seed := range []uint64{0xC1A55, 7} {
+		m.Seed = seed
+		ref := NewModel(seed)
+		for pass := 0; pass < 2; pass++ { // fill, then read back
+			Grid(func(p Params) {
+				if got, want := m.strengthAt(p), ref.strength(p); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d %+v: table %v != direct %v", seed, p, got, want)
+				}
+			})
+		}
+	}
+	off := Params{Width: ParamRange + 1}
+	if got, want := m.strengthAt(off), m.strength(off); got != want {
+		t.Errorf("off-grid %+v: %v != %v", off, got, want)
+	}
 }
 
 func TestModelDeterminism(t *testing.T) {

@@ -22,6 +22,7 @@ package glitcher
 
 import (
 	"math"
+	"sync/atomic"
 
 	"glitchlab/internal/isa"
 	"glitchlab/internal/obs/profile"
@@ -64,11 +65,23 @@ type Model struct {
 	// cost). Each scan worker records into its own shard.
 	Prof *profile.Profile
 
-	// FullRun makes every scan target re-simulate the boot prologue on
-	// each attempt instead of replaying from the trigger-point snapshot.
-	// Scan results are byte-identical either way; the flag exists so that
+	// FullRun makes every scan target and Table VI cell re-simulate the
+	// boot prologue on each attempt instead of replaying from the
+	// trigger-point snapshot (Table VI also forgoes its loop-cycle stop).
+	// Results are byte-identical either way; the flag exists so that
 	// equivalence stays checkable end to end (ci.sh compares the two).
 	FullRun bool
+
+	// strengths memoizes strength per grid point (see strengthAt).
+	strengths atomic.Pointer[strengthTable]
+}
+
+// strengthTable holds one model seed's strength per grid point as float64
+// bits, 0 meaning not yet computed. Fills are atomic and idempotent:
+// racing fillers store the same bits.
+type strengthTable struct {
+	seed uint64
+	bits [GridSize]atomic.Uint64
 }
 
 // NewModel returns a model with the calibration used throughout the
@@ -93,6 +106,30 @@ func (m *Model) hash(p Params, rel, window int, salt uint64) uint64 {
 
 func u01(h uint64) float64 {
 	return float64(h>>11) / float64(1<<53)
+}
+
+// strengthAt is strength, memoized per grid point. The value depends only
+// on (Seed, p), so the table is filled lazily — a short search pays only
+// for the points it touches — and is rebuilt if Seed changes.
+func (m *Model) strengthAt(p Params) float64 {
+	if p.Width < -ParamRange || p.Width > ParamRange ||
+		p.Offset < -ParamRange || p.Offset > ParamRange {
+		return m.strength(p)
+	}
+	t := m.strengths.Load()
+	if t == nil || t.seed != m.Seed {
+		// Racing callers may each install a table; the losers' fills are
+		// merely recomputed.
+		t = &strengthTable{seed: m.Seed}
+		m.strengths.Store(t)
+	}
+	slot := &t.bits[(p.Width+ParamRange)*(2*ParamRange+1)+p.Offset+ParamRange]
+	if b := slot.Load(); b != 0 {
+		return math.Float64frombits(b)
+	}
+	s := m.strength(p)
+	slot.Store(math.Float64bits(s))
+	return s
 }
 
 // strength computes the effectiveness landscape for a parameter point:
@@ -179,7 +216,7 @@ func (m *Model) EventInContext(p Params, rel, window, sustained int) (pipeline.E
 			return pipeline.Event{}, false
 		}
 	}
-	s := m.strength(p)
+	s := m.strengthAt(p)
 	if u01(m.hash(p, rel, 0, 0x0EB0E147)) > s*eventProbability {
 		return pipeline.Event{}, false
 	}
@@ -339,38 +376,57 @@ func (m *Model) dataMask(h uint64) uint32 {
 // given set of relative cycles (the same plan re-arms for every trigger
 // window, as the ChipWhisperer does).
 func (m *Model) Plan(p Params, cycles ...int) pipeline.Injector {
-	if len(cycles) == 1 {
-		only := cycles[0]
-		return func(rel, window int) (pipeline.Event, bool) {
-			if rel != only {
-				return pipeline.Event{}, false
-			}
-			return m.EventAt(p, rel, window)
-		}
-	}
-	set := make(map[int]bool, len(cycles))
+	pl := &plan{m: m, p: p, cycles: cycles, last: math.MinInt}
 	for _, c := range cycles {
-		set[c] = true
+		pl.last = max(pl.last, c)
 	}
-	return func(rel, window int) (pipeline.Event, bool) {
-		if !set[rel] {
-			return pipeline.Event{}, false
-		}
-		return m.EventAt(p, rel, window)
-	}
+	return pl
 }
+
+// plan is Plan's injector; its cycle lists are a handful of entries, so
+// a linear scan beats a set.
+type plan struct {
+	m      *Model
+	p      Params
+	cycles []int
+	last   int
+}
+
+func (pl *plan) Event(rel, window int) (pipeline.Event, bool) {
+	if rel > pl.last {
+		return pipeline.Event{}, false
+	}
+	for _, c := range pl.cycles {
+		if c == rel {
+			return pl.m.EventAt(pl.p, rel, window)
+		}
+	}
+	return pipeline.Event{}, false
+}
+
+func (pl *plan) Last() int { return pl.last }
 
 // RangePlan delivers events on every relative cycle in [from, to) — the
 // long-glitch attack of Table III and the windowed attack of Table VI.
 // Cycles deep inside the range see the sustained-glitch physics.
 func (m *Model) RangePlan(p Params, from, to int) pipeline.Injector {
-	return func(rel, window int) (pipeline.Event, bool) {
-		if rel < from || rel >= to {
-			return pipeline.Event{}, false
-		}
-		return m.EventInContext(p, rel, window, rel-from)
-	}
+	return &rangePlan{m: m, p: p, from: from, to: to}
 }
+
+type rangePlan struct {
+	m        *Model
+	p        Params
+	from, to int
+}
+
+func (r *rangePlan) Event(rel, window int) (pipeline.Event, bool) {
+	if rel < r.from || rel >= r.to {
+		return pipeline.Event{}, false
+	}
+	return r.m.EventInContext(r.p, rel, window, rel-r.from)
+}
+
+func (r *rangePlan) Last() int { return r.to - 1 }
 
 // Grid iterates the full (width, offset) parameter grid in deterministic
 // order, calling fn for each point.

@@ -13,8 +13,10 @@
 package pipeline
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"glitchlab/internal/emu"
@@ -93,10 +95,28 @@ func (e Event) applyData(v uint32) uint32 {
 	return v &^ e.DataMask
 }
 
-// Injector supplies the glitch events for a run. rel is the clock cycle
-// relative to the most recent trigger; window is the trigger occurrence
-// index (0 for the first trigger — multi-glitch experiments see 0 and 1).
-type Injector func(rel int, window int) (Event, bool)
+// Injector supplies the glitch events for a run.
+type Injector interface {
+	// Event returns the corruption for clock cycle rel, counted from the
+	// most recent trigger, in trigger window `window` (the trigger
+	// occurrence index: 0 for the first trigger — multi-glitch
+	// experiments see 0 and 1).
+	Event(rel, window int) (Event, bool)
+	// Last is the last relative cycle Event can fire on, in any window.
+	// Once the current window is past it the machine stops consulting
+	// the injector (and stops costing instructions ahead of execution).
+	Last() int
+}
+
+// InjectorFunc adapts a closure to Injector. Its horizon is unknown, so
+// the machine consults it on every cycle of every window.
+type InjectorFunc func(rel, window int) (Event, bool)
+
+// Event calls f.
+func (f InjectorFunc) Event(rel, window int) (Event, bool) { return f(rel, window) }
+
+// Last reports no horizon.
+func (f InjectorFunc) Last() int { return math.MaxInt }
 
 // StopReason describes how a run ended.
 type StopReason uint8
@@ -159,16 +179,51 @@ type Machine struct {
 	// the calibrated clock-read cost when attributing Ns.
 	Replay *ReplayProf
 
+	// LoopStop, when non-zero, is a loop-header address at which a run
+	// resumed from a snapshot may end early as StopHung: see repeats for
+	// the four conditions under which the machine provably loops forever.
+	// Full runs from reset (Run) never stop early.
+	LoopStop uint32
+
 	windowStart uint64 // cycle at which the active trigger window began
 	windowIdx   int    // trigger occurrence index (-1 before first trigger)
 
-	step          uint64
-	corruptAt     map[uint64]Event // step index -> instruction corruption
-	dataCorrupt   map[uint64]Event // step index -> load-data corruption
-	skipAt        map[uint64]bool
-	curStepFetch  bool // first fetch of the current step already seen
-	curStep       uint64
-	glitchedSteps uint64
+	step         uint64
+	pending      [ringSize]pendingStep // step-indexed corruptions, by step % ringSize
+	curStepFetch bool                  // first fetch of the current step already seen
+	curStep      uint64
+
+	snap *Snapshot // snapshot the current run resumed from; nil for full runs
+	loop loopMark  // last LoopStop visit, for repeats
+
+	fetchHook func(addr uint32, hw uint16) uint16
+	loadHook  func(addr uint32, size uint32, val uint32) uint32
+}
+
+// ringSize is the number of pending-corruption slots: a dispatch lands at
+// most fetchAhead steps ahead, so fetchAhead+1 slots suffice; a power of
+// two keeps the index a mask.
+const ringSize = 4
+
+// pendingStep holds the corruptions scheduled for one issue slot.
+type pendingStep struct {
+	inst, data       Event
+	hasInst, hasData bool
+	skip             bool
+}
+
+func (p *pendingStep) empty() bool { return !p.hasInst && !p.hasData && !p.skip }
+
+// loopMark is the machine state at a LoopStop visit.
+type loopMark struct {
+	valid       bool
+	regs        [16]uint32
+	flags       isa.Flags
+	triggers    int
+	flashWrites int
+	hasMem      bool   // mem holds this visit's memory image
+	mem         []byte // MemSnapshot.AppendDirty image
+	scratch     []byte // reused buffer for the next image
 }
 
 // NewMachine wires a machine to a board.
@@ -187,8 +242,8 @@ func NewMachine(b *firmware.Board) *Machine {
 		m.windowStart = b.CPU.Cycles + 2 // str is a 2-cycle instruction
 		m.windowIdx = count - 1
 	}
-	b.CPU.Hooks.FetchOverride = m.fetchOverride
-	b.CPU.Hooks.LoadOverride = m.loadOverride
+	m.fetchHook, m.loadHook = m.fetchOverride, m.loadOverride
+	m.hook(true)
 	return m
 }
 
@@ -208,19 +263,20 @@ func (m *Machine) fetchOverride(addr uint32, hw uint16) uint16 {
 		return hw
 	}
 	m.curStepFetch = true
-	if m.skipAt[m.curStep] {
+	p := &m.pending[m.curStep%ringSize]
+	if p.skip {
 		return 0xbf00 // issue bubble: NOP
 	}
-	if ev, ok := m.corruptAt[m.curStep]; ok {
-		return ev.applyInst(hw)
+	if p.hasInst {
+		return p.inst.applyInst(hw)
 	}
 	return hw
 }
 
 func (m *Machine) loadOverride(addr uint32, size uint32, val uint32) uint32 {
-	if ev, ok := m.dataCorrupt[m.curStep]; ok {
-		delete(m.dataCorrupt, m.curStep)
-		return ev.applyData(val)
+	if p := &m.pending[m.curStep%ringSize]; p.hasData {
+		p.hasData = false
+		return p.data.applyData(val)
 	}
 	return val
 }
@@ -236,10 +292,10 @@ func (m *Machine) peek(pc uint32) (isa.Inst, bool) {
 	}
 	off := pc - r.Base
 	hw := uint16(r.Data[off]) | uint16(r.Data[off+1])<<8
-	if m.skipAt[m.step] {
+	if p := &m.pending[m.step%ringSize]; p.skip {
 		hw = 0xbf00
-	} else if ev, ok := m.corruptAt[m.step]; ok {
-		hw = ev.applyInst(hw)
+	} else if p.hasInst {
+		hw = p.inst.applyInst(hw)
 	}
 	var hw2 uint16
 	if isa.Is32Bit(hw) {
@@ -250,10 +306,6 @@ func (m *Machine) peek(pc uint32) (isa.Inst, bool) {
 	}
 	return isa.Decode(hw, hw2), true
 }
-
-// GlitchedSteps reports how many issue slots were touched by glitch events
-// in the last run (diagnostic).
-func (m *Machine) GlitchedSteps() uint64 { return m.glitchedSteps }
 
 // ReplayProf accumulates the cost of the glitch-window mapping work: Ns
 // is the measured wall time, Ops the number of timed issue slots (each
@@ -274,21 +326,50 @@ func (m *Machine) resetRun() {
 	m.step = 0
 	m.windowIdx = -1
 	m.windowStart = 0
-	m.corruptAt = map[uint64]Event{}
-	m.dataCorrupt = map[uint64]Event{}
-	m.skipAt = map[uint64]bool{}
-	m.glitchedSteps = 0
+	m.pending = [ringSize]pendingStep{}
+	m.snap = nil
+	m.loop.valid = false
 }
 
 // run is the machine's main loop, continuing from the current machine and
 // board state (Run and RunFrom both funnel into it).
 func (m *Machine) run(maxCycles uint64) Result {
 	cpu := m.Board.CPU
+	// last is the injector's horizon: past it, in the current window,
+	// nothing can fire, and the per-slot peek/cost/injector work is
+	// skipped (the fast tail).
+	last := int64(math.MinInt64)
+	if m.Glitch != nil {
+		last = int64(m.Glitch.Last())
+	}
+	loopStop := m.LoopStop
+	if m.snap == nil {
+		loopStop = 0
+	}
+	m.loop.valid = false
+	// watch filters the addresses that need a closer look — stop
+	// symbols and the loop header — by one bit test per step.
+	var watch [stopFilterWords]uint64
+	for addr := range m.Stops {
+		watchAdd(&watch, addr)
+	}
+	if loopStop != 0 {
+		watchAdd(&watch, loopStop)
+	}
+	// The pipeline hooks are the identity while no corruption is pending,
+	// so the tail runs without them.
+	m.hook(true)
+	hooked := true
 
 	for {
 		pc := cpu.PC()
-		if tag, ok := m.Stops[pc]; ok {
-			return m.result(StopHit, tag, 0)
+		if h := pc >> 1 & (stopFilterWords*64 - 1); watch[h>>6]&(1<<(h&63)) != 0 {
+			if tag, ok := m.Stops[pc]; ok {
+				return m.result(StopHit, tag, 0)
+			}
+			if pc == loopStop && cpu.Cycles < maxCycles && m.repeats(last) {
+				return m.result(StopHung, "", 0)
+			}
 		}
 		if cpu.Cycles >= maxCycles {
 			return m.result(StopHung, "", 0)
@@ -299,7 +380,11 @@ func (m *Machine) run(maxCycles uint64) Result {
 
 		// Map glitched cycles in this instruction's execute window to
 		// pipeline effects.
-		if m.Glitch != nil && m.windowIdx >= 0 {
+		if m.windowIdx >= 0 && int64(cpu.Cycles)-int64(m.windowStart) <= last {
+			if !hooked {
+				m.hook(true)
+				hooked = true
+			}
 			var t0 time.Time
 			if m.Replay != nil {
 				t0 = time.Now()
@@ -312,7 +397,7 @@ func (m *Machine) run(maxCycles uint64) Result {
 					if rel < 0 {
 						continue
 					}
-					ev, hit := m.Glitch(rel, m.windowIdx)
+					ev, hit := m.Glitch.Event(rel, m.windowIdx)
 					if !hit {
 						continue
 					}
@@ -323,14 +408,18 @@ func (m *Machine) run(maxCycles uint64) Result {
 				m.Replay.Ns += time.Since(t0).Nanoseconds()
 				m.Replay.Ops++
 			}
+		} else if hooked && m.quiet() {
+			m.hook(false)
+			hooked = false
 		}
 
 		m.curStep = m.step
 		m.curStepFetch = false
 		_, err := cpu.Step()
-		delete(m.corruptAt, m.step)
-		delete(m.skipAt, m.step)
-		delete(m.dataCorrupt, m.step)
+		if hooked {
+			p := &m.pending[m.step%ringSize]
+			p.hasInst, p.hasData, p.skip = false, false, false
+		}
 		m.step++
 		if err != nil {
 			var fault *emu.Fault
@@ -342,23 +431,52 @@ func (m *Machine) run(maxCycles uint64) Result {
 	}
 }
 
+// stopFilterWords sizes run's address filter: 1024 bits, indexed by
+// halfword address.
+const stopFilterWords = 16
+
+func watchAdd(w *[stopFilterWords]uint64, addr uint32) {
+	h := addr >> 1 & (stopFilterWords*64 - 1)
+	w[h>>6] |= 1 << (h & 63)
+}
+
+// hook installs (or removes) the fetch and load overrides on the CPU.
+func (m *Machine) hook(on bool) {
+	h := &m.Board.CPU.Hooks
+	if on {
+		h.FetchOverride, h.LoadOverride = m.fetchHook, m.loadHook
+	} else {
+		h.FetchOverride, h.LoadOverride = nil, nil
+	}
+}
+
+// quiet reports that no step-indexed corruption is pending.
+func (m *Machine) quiet() bool {
+	for i := range m.pending {
+		if !m.pending[i].empty() {
+			return false
+		}
+	}
+	return true
+}
+
 func (m *Machine) dispatch(ev Event) {
-	m.glitchedSteps++
 	switch ev.Kind {
 	case EventFetchCorrupt:
 		// The word in the fetch stage belongs to the instruction two
 		// issue slots ahead.
-		if _, exists := m.corruptAt[m.step+fetchAhead]; !exists {
-			m.corruptAt[m.step+fetchAhead] = ev
+		if p := &m.pending[(m.step+fetchAhead)%ringSize]; !p.hasInst {
+			p.inst, p.hasInst = ev, true
 		}
 	case EventExecCorrupt:
-		if _, exists := m.corruptAt[m.step]; !exists {
-			m.corruptAt[m.step] = ev
+		if p := &m.pending[m.step%ringSize]; !p.hasInst {
+			p.inst, p.hasInst = ev, true
 		}
 	case EventDataCorrupt:
-		m.dataCorrupt[m.step] = ev
+		p := &m.pending[m.step%ringSize]
+		p.data, p.hasData = ev, true
 	case EventSkip:
-		m.skipAt[m.step] = true
+		m.pending[m.step%ringSize].skip = true
 	case EventRegCorrupt:
 		r := ev.Reg & 7
 		m.Board.CPU.R[r] = ev.applyData(m.Board.CPU.R[r])
@@ -366,6 +484,39 @@ func (m *Machine) dispatch(ev Event) {
 		pc := m.Board.CPU.R[isa.PC]
 		m.Board.CPU.R[isa.PC] = ev.applyData(pc) &^ 1
 	}
+}
+
+// repeats reports, at a LoopStop visit, whether the machine provably loops
+// forever from here. It does when four things hold since the previous
+// visit: the current window is past the injector's horizon last, so no
+// event can fire again; no step-indexed corruption is pending; no trigger
+// or flash write happened in between; and registers, flags and every
+// writable byte are equal. The machine is then a pure function of that
+// state, which recurs every iteration: no stop symbol, fault or trigger
+// was met in one iteration, so none ever will be, and the run can only
+// end StopHung at its budget. Registers pick the candidate visit; memory
+// equality is checked in full, through the dirty pages of the snapshot
+// the run resumed from.
+func (m *Machine) repeats(last int64) bool {
+	cpu, b, l := m.Board.CPU, m.Board, &m.loop
+	if m.windowIdx < 0 || int64(cpu.Cycles)-int64(m.windowStart) <= last || !m.quiet() {
+		l.valid = false
+		return false
+	}
+	if l.valid && l.regs == cpu.R && l.flags == cpu.Flags &&
+		l.triggers == b.TriggerCount && l.flashWrites == b.FlashWrites {
+		l.scratch = m.snap.mem.AppendDirty(l.scratch[:0])
+		if l.hasMem && bytes.Equal(l.scratch, l.mem) {
+			return true
+		}
+		l.mem, l.scratch = l.scratch, l.mem
+		l.hasMem = true
+		return false
+	}
+	l.valid, l.hasMem = true, false
+	l.regs, l.flags = cpu.R, cpu.Flags
+	l.triggers, l.flashWrites = b.TriggerCount, b.FlashWrites
+	return false
 }
 
 // Snapshot is a restorable capture of a machine, its CPU and its board at
@@ -420,7 +571,7 @@ func (m *Machine) SnapshotAtTrigger(maxCycles uint64) *Snapshot {
 		}
 		m.step++
 	}
-	return &Snapshot{
+	m.snap = &Snapshot{
 		cpu:         cpu.State(),
 		mem:         m.Board.Mem.Snapshot(),
 		step:        m.step,
@@ -430,6 +581,7 @@ func (m *Machine) SnapshotAtTrigger(maxCycles uint64) *Snapshot {
 		trigCycle:   m.Board.TriggerCycle,
 		flashWrites: m.Board.FlashWrites,
 	}
+	return m.snap
 }
 
 // Steps reports how many instructions had retired at the snapshot point;
@@ -441,6 +593,7 @@ func (s *Snapshot) Steps() uint64 { return s.cpu.Steps }
 // bookkeeping to the captured trigger point.
 func (m *Machine) RestoreSnapshot(s *Snapshot) {
 	m.resetRun()
+	m.snap = s
 	m.step = s.step
 	m.windowStart = s.windowStart
 	m.windowIdx = s.windowIdx
@@ -465,6 +618,7 @@ func (m *Machine) RunFrom(s *Snapshot, maxCycles uint64) Result {
 }
 
 func (m *Machine) result(reason StopReason, tag string, fault emu.FaultKind) Result {
+	m.hook(true)
 	cpu := m.Board.CPU
 	return Result{
 		Reason: reason,

@@ -61,12 +61,12 @@ func TestSkipEventEscapesLoop(t *testing.T) {
 	// through to exit. The skip must target the branch's issue slot: the
 	// glitch lands at cycle 5, the branch's first execute cycle.
 	m := newGuardMachine(t)
-	m.Glitch = func(rel, window int) (Event, bool) {
+	m.Glitch = InjectorFunc(func(rel, window int) (Event, bool) {
 		if rel == 5 {
 			return Event{Kind: EventSkip}, true
 		}
 		return Event{}, false
-	}
+	})
 	r := m.Run(500)
 	if r.Reason != StopHit || r.Tag != "exit" {
 		t.Fatalf("skip glitch: %v (tag %q), want exit hit", r.Reason, r.Tag)
@@ -77,12 +77,12 @@ func TestDataCorruptEscapesLoop(t *testing.T) {
 	// Corrupting the LDRB's data (cycles 2-3) to a non-zero value breaks
 	// while(!a).
 	m := newGuardMachine(t)
-	m.Glitch = func(rel, window int) (Event, bool) {
+	m.Glitch = InjectorFunc(func(rel, window int) (Event, bool) {
 		if rel == 2 {
 			return Event{Kind: EventDataCorrupt, DataResidue: true, DataValue: 0x55}, true
 		}
 		return Event{}, false
-	}
+	})
 	r := m.Run(500)
 	if r.Reason != StopHit {
 		t.Fatalf("data glitch: %v, want exit hit", r.Reason)
@@ -96,12 +96,12 @@ func TestDataCorruptZeroHasNoEffectOnWhileNotA(t *testing.T) {
 	// Forcing the load to zero keeps while(!a) looping: the exit needs a
 	// non-zero value.
 	m := newGuardMachine(t)
-	m.Glitch = func(rel, window int) (Event, bool) {
+	m.Glitch = InjectorFunc(func(rel, window int) (Event, bool) {
 		if rel == 2 {
 			return Event{Kind: EventDataCorrupt, DataMask: 0xFFFFFFFF}, true
 		}
 		return Event{}, false
-	}
+	})
 	if r := m.Run(500); r.Reason != StopHung {
 		t.Fatalf("zeroing glitch: %v, want hung", r.Reason)
 	}
@@ -114,12 +114,12 @@ func TestFetchCorruptHitsTwoSlotsLater(t *testing.T) {
 	// keeps the address value SP+7 — and the loop exits because the
 	// address is non-zero.
 	m := newGuardMachine(t)
-	m.Glitch = func(rel, window int) (Event, bool) {
+	m.Glitch = InjectorFunc(func(rel, window int) (Event, bool) {
 		if rel == 0 && window == 0 {
 			return Event{Kind: EventFetchCorrupt, InstMask: 0xFFFF}, true
 		}
 		return Event{}, false
-	}
+	})
 	r := m.Run(500)
 	if r.Reason != StopHit {
 		t.Fatalf("fetch glitch: %v, want exit", r.Reason)
@@ -134,12 +134,12 @@ func TestExecCorruptHitsCurrentSlot(t *testing.T) {
 	// An execute-stage corruption at the branch's first cycle (rel 5)
 	// zeroes the BEQ itself, falling through immediately.
 	m := newGuardMachine(t)
-	m.Glitch = func(rel, window int) (Event, bool) {
+	m.Glitch = InjectorFunc(func(rel, window int) (Event, bool) {
 		if rel == 5 {
 			return Event{Kind: EventExecCorrupt, InstMask: 0xFFFF}, true
 		}
 		return Event{}, false
-	}
+	})
 	if r := m.Run(500); r.Reason != StopHit {
 		t.Fatalf("exec glitch: %v, want exit", r.Reason)
 	}
@@ -147,12 +147,12 @@ func TestExecCorruptHitsCurrentSlot(t *testing.T) {
 
 func TestPCCorruptCrashes(t *testing.T) {
 	m := newGuardMachine(t)
-	m.Glitch = func(rel, window int) (Event, bool) {
+	m.Glitch = InjectorFunc(func(rel, window int) (Event, bool) {
 		if rel == 1 {
 			return Event{Kind: EventPCCorrupt, DataResidue: true, DataValue: 0x6000_0001}, true
 		}
 		return Event{}, false
-	}
+	})
 	r := m.Run(500)
 	if r.Reason != StopFault || r.Fault != emu.FaultBadFetch {
 		t.Fatalf("pc glitch: %v/%v, want bad fetch", r.Reason, r.Fault)
@@ -164,12 +164,12 @@ func TestRegCorrupt(t *testing.T) {
 	// cycle; the corruption applies before that instruction executes)
 	// makes while(!a) exit.
 	m := newGuardMachine(t)
-	m.Glitch = func(rel, window int) (Event, bool) {
+	m.Glitch = InjectorFunc(func(rel, window int) (Event, bool) {
 		if rel == 4 {
 			return Event{Kind: EventRegCorrupt, Reg: 3, DataMask: 0x10, DataSet: true}, true
 		}
 		return Event{}, false
-	}
+	})
 	r := m.Run(500)
 	if r.Reason != StopHit {
 		t.Fatalf("reg glitch: %v, want exit", r.Reason)
@@ -185,13 +185,13 @@ func TestGlitchBeforeTriggerIgnored(t *testing.T) {
 	// the setup code.
 	m := newGuardMachine(t)
 	calls := 0
-	m.Glitch = func(rel, window int) (Event, bool) {
+	m.Glitch = InjectorFunc(func(rel, window int) (Event, bool) {
 		calls++
 		if rel < 0 || window < 0 {
 			t.Fatalf("injector called with rel=%d window=%d", rel, window)
 		}
 		return Event{}, false
-	}
+	})
 	m.Run(100)
 	if calls == 0 {
 		t.Fatal("injector never consulted after trigger")
@@ -200,12 +200,12 @@ func TestGlitchBeforeTriggerIgnored(t *testing.T) {
 
 func TestRunIsRepeatable(t *testing.T) {
 	// Two identical glitched runs produce identical results.
-	inj := func(rel, window int) (Event, bool) {
+	inj := InjectorFunc(func(rel, window int) (Event, bool) {
 		if rel == 3 {
 			return Event{Kind: EventDataCorrupt, DataResidue: true, DataValue: 0xFF}, true
 		}
 		return Event{}, false
-	}
+	})
 	m1 := newGuardMachine(t)
 	m1.Glitch = inj
 	r1 := m1.Run(500)
@@ -243,10 +243,10 @@ func TestMultiWindowIndices(t *testing.T) {
 	m.AddStopSymbol("end")
 	b.Reset()
 	seen := map[int]bool{}
-	m.Glitch = func(rel, window int) (Event, bool) {
+	m.Glitch = InjectorFunc(func(rel, window int) (Event, bool) {
 		seen[window] = true
 		return Event{}, false
-	}
+	})
 	if r := m.Run(200); r.Reason != StopHit {
 		t.Fatalf("run: %v", r.Reason)
 	}
@@ -291,13 +291,122 @@ func TestMaxStepsCutsRun(t *testing.T) {
 	// A stop reached before the bound still wins over the step check.
 	m2 := newGuardMachine(t)
 	m2.MaxSteps = 1 << 40
-	m2.Glitch = func(rel, window int) (Event, bool) {
+	m2.Glitch = InjectorFunc(func(rel, window int) (Event, bool) {
 		if rel == 5 {
 			return Event{Kind: EventSkip}, true
 		}
 		return Event{}, false
-	}
+	})
 	if r := m2.Run(500); r.Reason != StopHit || r.Tag != "exit" {
 		t.Fatalf("stop vs step bound: %v (tag %q), want exit hit", r.Reason, r.Tag)
+	}
+}
+
+// bounded is a test injector that declares its horizon.
+type bounded struct {
+	InjectorFunc
+	last int
+}
+
+func (b bounded) Last() int { return b.last }
+
+func TestHorizonFastTailMatchesClosure(t *testing.T) {
+	// Skipping the per-slot injector work past an injector's horizon must
+	// not change any observable of the run, for every dispatch path.
+	events := []Event{
+		{Kind: EventSkip},
+		{Kind: EventFetchCorrupt, InstMask: 0x0400},
+		{Kind: EventExecCorrupt, InstMask: 0x0840},
+		{Kind: EventDataCorrupt, DataResidue: true, DataValue: 0xFF},
+		{Kind: EventRegCorrupt, Reg: 3, DataMask: 0xFF, DataSet: true},
+	}
+	for _, ev := range events {
+		for at := 0; at < 10; at++ {
+			fn := InjectorFunc(func(rel, window int) (Event, bool) {
+				return ev, rel == at
+			})
+			open := newGuardMachine(t)
+			open.Glitch = fn
+			want := open.Run(500)
+			tail := newGuardMachine(t)
+			tail.Glitch = bounded{fn, at}
+			if got := tail.Run(500); got != want {
+				t.Fatalf("%v at %d: fast tail %+v != closure %+v", ev.Kind, at, got, want)
+			}
+		}
+	}
+}
+
+// counterSource loops with the same registers at every header visit while
+// a RAM counter grows: only the memory comparison can tell the visits
+// apart.
+const counterSource = `
+	ldr r0, trig
+	movs r1, #1
+	str r1, [r0]
+	ldr r2, ram
+loop:
+	ldr r3, [r2]
+	adds r3, #1
+	str r3, [r2]
+	movs r3, #0
+	b loop
+exit:
+	b exit
+	.align 4
+trig:
+	.word 0x48000028
+ram:
+	.word 0x20000100
+`
+
+func TestLoopStop(t *testing.T) {
+	cases := []struct {
+		name, src string
+		glitch    Injector
+		early     bool
+	}{
+		{"periodic guard", guardSource, nil, true},
+		{"horizon passed", guardSource, bounded{InjectorFunc(func(rel, window int) (Event, bool) {
+			return Event{Kind: EventRegCorrupt, Reg: 0, DataMask: 1}, rel == 3
+		}), 3}, true},
+		{"no horizon", guardSource, InjectorFunc(func(rel, window int) (Event, bool) {
+			return Event{}, false
+		}), false},
+		{"memory changes", counterSource, nil, false},
+	}
+	const budget = 5000
+	for _, c := range cases {
+		b, err := firmware.NewBoard()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.LoadSource(c.src); err != nil {
+			t.Fatal(err)
+		}
+		m := NewMachine(b)
+		m.AddStopSymbol("exit")
+		m.LoopStop = b.MustSymbol("loop")
+		s := m.SnapshotAtTrigger(budget)
+		if s == nil {
+			t.Fatalf("%s: no trigger", c.name)
+		}
+		for round := 0; round < 2; round++ {
+			m.Glitch = c.glitch
+			r := m.RunFrom(s, budget)
+			if r.Reason != StopHung {
+				t.Fatalf("%s: %v (tag %q), want hung", c.name, r.Reason, r.Tag)
+			}
+			if early := r.Cycles < budget; early != c.early {
+				t.Errorf("%s round %d: stopped at cycle %d of %d, early=%v, want %v",
+					c.name, round, r.Cycles, budget, early, c.early)
+			}
+		}
+		// A full run from reset never stops early.
+		b.Reset()
+		m.Glitch = c.glitch
+		if r := m.Run(budget); r.Reason != StopHung || r.Cycles < budget {
+			t.Errorf("%s: full run %v at cycle %d, want hung at the budget", c.name, r.Reason, r.Cycles)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package report
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -232,5 +234,30 @@ func TestParallelRendersIdentical(t *testing.T) {
 	}
 	if s, p := Table1(st), Table1(pt); s != p {
 		t.Errorf("Table I render differs between serial and workers=4:\n--- serial ---\n%s\n--- parallel ---\n%s", s, p)
+	}
+}
+
+// TestTable6Golden renders the full Table VI at the default seed and
+// compares it with the Table VI block of the committed
+// results/section7.txt (regenerated by `glitcheval -out`).
+func TestTable6Golden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs all 12 Table VI cells")
+	}
+	golden, err := os.ReadFile(filepath.Join("..", "..", "results", "section7.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := strings.Index(string(golden), "Table VI:")
+	end := strings.Index(string(golden), "Table VII:")
+	if start < 0 || end < start {
+		t.Fatal("results/section7.txt has no Table VI block")
+	}
+	t6, err := core.RunTable6(glitcher.NewModel(core.DefaultSeed), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := Table6(t6)+"\n", string(golden[start:end]); got != want {
+		t.Errorf("Table VI differs from results/section7.txt:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }

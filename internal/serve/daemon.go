@@ -322,9 +322,6 @@ func (d *Daemon) BeginDrain() {
 	}
 }
 
-// Draining reports whether BeginDrain has been called.
-func (d *Daemon) Draining() bool { return d.draining.Load() }
-
 // Degraded reports whether persistent disk faults have flipped the
 // daemon to degraded mode.
 func (d *Daemon) Degraded() bool { return d.degraded.Load() }

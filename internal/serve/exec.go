@@ -201,6 +201,7 @@ func execEval(spec Spec, env Env, w io.Writer) error {
 	}
 	runT6 := func() error {
 		m := glitcher.NewModel(spec.Seed)
+		m.FullRun = env.FullRun
 		if env.Reg != nil {
 			m.Obs = glitcher.NewObs(env.Reg, env.Tracer)
 		}
