@@ -96,6 +96,23 @@ fi
 	-out "$tmp/table6_resumed.txt"
 cmp "$tmp/table6.txt" "$tmp/table6_resumed.txt"
 
+# Table VI under workers: the matrix shards by cell on the runctl unit
+# scheduler, so a serial run must match the default-workers run, and a
+# checkpoint left by an interrupted 2-worker run must resume serially to
+# the same bytes (checkpoints compose across worker counts).
+"$tmp/glitcheval" -exp table6 -workers 1 -out "$tmp/table6_serial.txt"
+cmp "$tmp/table6.txt" "$tmp/table6_serial.txt"
+status=0
+"$tmp/glitcheval" -exp table6 -workers 2 -run-dir "$tmp/table6run2" \
+	-deadline 1s -out "$tmp/table6_partial2.txt" 2>/dev/null || status=$?
+if [ "$status" -ne 3 ]; then
+	echo "ci: deadline-interrupted 2-worker table6 run exited $status, want 3" >&2
+	exit 1
+fi
+"$tmp/glitcheval" -exp table6 -workers 1 -run-dir "$tmp/table6run2" -resume \
+	-out "$tmp/table6_resumed2.txt"
+cmp "$tmp/table6.txt" "$tmp/table6_resumed2.txt"
+
 # Differential-fuzzing gates. First sanity-check the committed seed corpora
 # (directory names must be Fuzz* harnesses, every file must carry the native
 # corpus header), then give each harness a short coverage-guided smoke run.

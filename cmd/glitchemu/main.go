@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"os"
 
-	"glitchlab/internal/campaign"
 	"glitchlab/internal/obs"
 	"glitchlab/internal/obs/profile"
 	"glitchlab/internal/report"
@@ -57,7 +56,7 @@ func run() error {
 	padUDF := flag.Bool("pad-udf", false,
 		"fill unreachable slots with UDF (Section IV hardening hypothesis)")
 	maxFlips := flag.Int("max-flips", 16, "maximum number of flipped bits per mask")
-	workers := flag.Int("workers", campaign.DefaultWorkers(),
+	workers := flag.Int("workers", runctl.DefaultWorkers(),
 		"worker goroutines sharding the campaign (1 = serial; results are identical)")
 	fullRun := flag.Bool("full-run", false,
 		"re-simulate the harness prologue on every execution instead of replaying "+

@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"os"
 
-	"glitchlab/internal/campaign"
 	"glitchlab/internal/core"
 	"glitchlab/internal/obs"
 	"glitchlab/internal/report"
@@ -63,8 +62,8 @@ func run() error {
 		"figure2: treat the all-zero encoding as invalid (Figure 2c)")
 	maxFlips := flag.Int("max-flips", 16,
 		"figure2: maximum number of flipped bits per mask")
-	workers := flag.Int("workers", campaign.DefaultWorkers(),
-		"figure2: worker goroutines sharding the campaign (1 = serial)")
+	workers := flag.Int("workers", runctl.DefaultWorkers(),
+		"figure2, table6: worker goroutines sharding the campaign or the defense matrix (1 = serial)")
 	fullRun := flag.Bool("full-run", false,
 		"figure2, table6: re-simulate the boot per attempt instead of trigger-point replay (table6: also no loop-cycle stop)")
 	cli := obs.RegisterCLIFlags(flag.CommandLine)

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"os"
 
-	"glitchlab/internal/campaign"
 	"glitchlab/internal/core"
 	"glitchlab/internal/obs"
 	"glitchlab/internal/obs/profile"
@@ -56,7 +55,7 @@ func run() error {
 	exp := flag.String("exp", "all",
 		"experiment: table1a, table1b, table1c, table1, table2, table3, search, all")
 	seed := flag.Uint64("seed", core.DefaultSeed, "fault-model seed")
-	workers := flag.Int("workers", campaign.DefaultWorkers(),
+	workers := flag.Int("workers", runctl.DefaultWorkers(),
 		"worker goroutines sharding each grid scan (1 = serial; results are identical)")
 	fullRun := flag.Bool("full-run", false,
 		"reset and re-run the boot prologue on every attempt instead of replaying "+

@@ -8,6 +8,8 @@ package campaign
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 
 	"glitchlab/internal/emu"
 	"glitchlab/internal/isa"
@@ -508,7 +510,7 @@ type Config struct {
 	// Workers shards the campaign across goroutines by (condition,
 	// flip-count) work units; each unit runs on its own emulator, and the
 	// merge preserves BranchConds/ascending-k order, so results are
-	// byte-identical to a serial run. <= 1 runs serially.
+	// byte-identical to a serial run. <= 1 is a pool of one.
 	Workers int
 
 	// Obs, when non-nil, instruments every execution of the campaign
@@ -581,13 +583,7 @@ func Run(cfg Config) ([]CondResult, error) {
 	}
 	cfg.Profile.Begin()
 	defer cfg.Profile.End()
-	var results []CondResult
-	var err error
-	if cfg.Workers > 1 {
-		results, err = runParallel(cfg)
-	} else {
-		results, err = runSerial(cfg)
-	}
+	results, err := run(cfg)
 	if err != nil {
 		return results, err
 	}
@@ -615,65 +611,86 @@ func newRunnerFor(cfg Config, cond isa.Cond) (*Runner, error) {
 	return r, err
 }
 
-// runSerial walks the campaign one (condition, flip-count) unit at a time
-// — the same work units the parallel engine shards by, so checkpoints are
-// interchangeable between serial and parallel runs and the merge order
-// (BranchConds, then ascending k) is identical.
-func runSerial(cfg Config) ([]CondResult, error) {
-	rn := cfg.Run
+// worker is one campaign worker's private state: a runner per condition
+// (rebuilding it for every flip-count unit of the same condition would
+// only redo the assembly) and its observer and profile shards.
+type worker struct {
+	runners map[int]*Runner
+	obs     *Observer
+	prof    *profile.Shard
+}
+
+// run sweeps the campaign's (condition, flip-count) units on the runctl
+// scheduler. Units are fully independent — each runs on its worker's own
+// Runner (private CPU and memory) — and come back in BranchConds/
+// ascending-k order whatever the worker count, so the merge is
+// byte-identical to a serial sweep. Sharded sweeps dispatch largest
+// C(16,k) first, so the k≈8 humps do not end up serialized on one worker.
+// On interruption or quarantine only the conditions whose every unit
+// completed are assembled; the rest live on in the checkpoint.
+func run(cfg Config) ([]CondResult, error) {
 	conds := isa.BranchConds()
-	psh := cfg.Profile.Shard()
-	defer psh.Flush()
-	results := make([]CondResult, 0, len(conds))
+	per := cfg.MaxFlips + 1
+	keys := make([]string, 0, len(conds)*per)
 	for _, cond := range conds {
-		res := CondResult{Cond: cond, Model: cfg.Model}
-		var r *Runner
-		condOK := true
-		for k := 0; k <= cfg.MaxFlips; k++ {
-			if err := rn.Err(); err != nil {
-				return results, err
-			}
-			key := cfg.unitKey(cond, k)
-			var fr FlipResult
-			if rn.Lookup(key, &fr) {
-				res.merge(fr)
-				continue
-			}
-			if r == nil {
-				var err error
-				if r, err = newRunnerFor(cfg, cond); err != nil {
-					return nil, err
-				}
-				r.Obs = cfg.Obs
-				r.Prof = psh
-				if cfg.Obs != nil {
-					cfg.Obs.attach(r.cpu)
-				}
-			}
-			err := rn.Protect(key, func() error {
-				fr = r.sweepFlips(cfg.Model, k)
-				return rn.Complete(key, fr)
-			})
-			var pe *runctl.PanicError
-			if errors.As(err, &pe) {
-				// The unit is quarantined and the emulator may be wedged
-				// mid-execution: rebuild the runner for the next unit and
-				// leave this condition out of the merged results.
-				r = nil
-				condOK = false
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-			res.merge(fr)
-		}
-		cfg.Obs.flush()
-		if condOK {
-			results = append(results, res)
+		for k := 0; k < per; k++ {
+			keys = append(keys, cfg.unitKey(cond, k))
 		}
 	}
-	return results, nil
+	var order []int
+	if cfg.Workers > 1 {
+		order = make([]int, len(keys))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool {
+			return mutate.Binomial(16, order[a]%per) > mutate.Binomial(16, order[b]%per)
+		})
+	}
+	frs, done, err := runctl.Sweep(cfg.Run, runctl.Units[*worker, FlipResult]{
+		Keys:    keys,
+		Order:   order,
+		Workers: cfg.Workers,
+		NewState: func() (*worker, error) {
+			return &worker{runners: map[int]*Runner{}, obs: cfg.Obs.Shard(),
+				prof: cfg.Profile.Shard()}, nil
+		},
+		Release: func(w *worker) {
+			w.obs.flush()
+			w.prof.Flush()
+		},
+		Do: func(w *worker, i int) (FlipResult, error) {
+			ci := i / per
+			r := w.runners[ci]
+			if r == nil {
+				var err error
+				if r, err = newRunnerFor(cfg, conds[ci]); err != nil {
+					return FlipResult{}, err
+				}
+				r.Obs, r.Prof = w.obs, w.prof
+				if w.obs != nil {
+					w.obs.attach(r.cpu)
+				}
+				w.runners[ci] = r
+			}
+			return r.sweepFlips(cfg.Model, i%per), nil
+		},
+	})
+	if err != nil && !errors.Is(err, runctl.ErrInterrupted) {
+		return nil, err
+	}
+	results := make([]CondResult, 0, len(conds))
+	for ci, cond := range conds {
+		if slices.Contains(done[ci*per:(ci+1)*per], false) {
+			continue
+		}
+		res := CondResult{Cond: cond, Model: cfg.Model}
+		for _, fr := range frs[ci*per : (ci+1)*per] {
+			res.merge(fr)
+		}
+		results = append(results, res)
+	}
+	return results, err
 }
 
 // CheckAccounting verifies the result's internal bookkeeping: every

@@ -491,57 +491,61 @@ func Table6Configs(sensitive ...string) []passes.Config {
 }
 
 // RunTable6 runs the complete Table VI evaluation. This is the heaviest
-// experiment (about 1.25 million glitch attempts); progress can be
-// observed per cell via the optional callback. rn, when non-nil, threads
-// the run controller through the matrix: each (scenario, defense, attack)
-// cell is a checkpointed work unit, skipped on resume and quarantined on
-// panic; an interrupted run returns the cells completed so far with an
-// error wrapping runctl.ErrInterrupted.
-func RunTable6(model *glitcher.Model, progress func(sc, cfg string, a Attack,
+// experiment (about 1.25 million glitch attempts). Each (scenario,
+// defense, attack) cell is one unit on the runctl scheduler, sharded
+// across workers goroutines (<= 1 for serial); cells share no mutable
+// state, so the matrix is identical for every worker count. progress,
+// when non-nil, sees every cell with a result, from the worker that ran
+// it (calls may be concurrent when workers > 1). rn, when non-nil,
+// threads the run controller through the matrix: every cell is
+// checkpointed, skipped on resume and quarantined on panic; an
+// interrupted run returns the cells completed so far with an error
+// wrapping runctl.ErrInterrupted.
+func RunTable6(model *glitcher.Model, workers int, progress func(sc, cfg string, a Attack,
 	cell Table6Cell), rn *runctl.Run) (*Table6Result, error) {
+	type unit struct {
+		sc     Scenario
+		cfg    passes.Config
+		attack Attack
+	}
 	res := &Table6Result{Cells: map[string]map[string]map[Attack]Table6Cell{}}
+	var units []unit
+	var keys []string
 	for _, sc := range Table6Scenarios() {
 		res.Cells[sc.Name] = map[string]map[Attack]Table6Cell{}
 		for _, cfg := range Table6Configs(sc.Sensitive...) {
 			res.Cells[sc.Name][cfg.Name()] = map[Attack]Table6Cell{}
 			for _, attack := range Attacks() {
-				if err := rn.Err(); err != nil {
-					return res, err
-				}
-				key := fmt.Sprintf("table6 scenario=%s config=%s attack=%s",
-					sc.Name, cfg.Name(), attack)
-				var cell Table6Cell
-				if !rn.Lookup(key, &cell) {
-					err := rn.Protect(key, func() error {
-						c, err := RunTable6Cell(model, sc, cfg, attack, rn)
-						if err != nil {
-							return err
-						}
-						if err := rn.Complete(key, c); err != nil {
-							return err
-						}
-						cell = c
-						return nil
-					})
-					if err != nil {
-						var pe *runctl.PanicError
-						if errors.As(err, &pe) {
-							// Quarantined: the cell stays absent from the
-							// matrix; FinishErr names it below.
-							continue
-						}
-						if errors.Is(err, runctl.ErrInterrupted) {
-							return res, err
-						}
-						return nil, err
-					}
-				}
-				res.Cells[sc.Name][cfg.Name()][attack] = cell
-				if progress != nil {
-					progress(sc.Name, cfg.Name(), attack, cell)
-				}
+				units = append(units, unit{sc, cfg, attack})
+				keys = append(keys, fmt.Sprintf("table6 scenario=%s config=%s attack=%s",
+					sc.Name, cfg.Name(), attack))
 			}
 		}
+	}
+	cells, done, err := runctl.Sweep(rn, runctl.Units[struct{}, Table6Cell]{
+		Keys:    keys,
+		Workers: workers,
+		Do: func(_ struct{}, i int) (Table6Cell, error) {
+			u := units[i]
+			return RunTable6Cell(model, u.sc, u.cfg, u.attack, rn)
+		},
+		Done: func(i int, cell Table6Cell) {
+			if progress != nil {
+				u := units[i]
+				progress(u.sc.Name, u.cfg.Name(), u.attack, cell)
+			}
+		},
+	})
+	if err != nil && !errors.Is(err, runctl.ErrInterrupted) {
+		return nil, err
+	}
+	for i, u := range units {
+		if done[i] {
+			res.Cells[u.sc.Name][u.cfg.Name()][u.attack] = cells[i]
+		}
+	}
+	if err != nil {
+		return res, err
 	}
 	return res, rn.FinishErr()
 }

@@ -65,41 +65,26 @@ func RunUDFHardening(model mutate.Model, maxFlips, workers int, fullRun bool, o 
 // checkpoint) plus an error wrapping runctl.ErrInterrupted, and a run with
 // quarantined rows returns all tables plus a *runctl.QuarantineError.
 func RunTable1(m *glitcher.Model, workers int, rn *runctl.Run) ([]*glitcher.Table1Result, error) {
-	var out []*glitcher.Table1Result
-	for _, g := range glitcher.Guards() {
-		r, err := m.RunTable1Workers(g, workers, rn)
-		if err != nil {
-			if errors.Is(err, runctl.ErrInterrupted) {
-				return out, err
-			}
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, rn.FinishErr()
+	return runGuards(m.RunTable1Workers, workers, rn)
 }
 
 // RunTable2 executes the multi-glitch scans for all three guards.
 func RunTable2(m *glitcher.Model, workers int, rn *runctl.Run) ([]*glitcher.Table2Result, error) {
-	var out []*glitcher.Table2Result
-	for _, g := range glitcher.Guards() {
-		r, err := m.RunTable2Workers(g, workers, rn)
-		if err != nil {
-			if errors.Is(err, runctl.ErrInterrupted) {
-				return out, err
-			}
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, rn.FinishErr()
+	return runGuards(m.RunTable2Workers, workers, rn)
 }
 
 // RunTable3 executes the long-glitch scans for all three guards.
 func RunTable3(m *glitcher.Model, workers int, rn *runctl.Run) ([]*glitcher.Table3Result, error) {
-	var out []*glitcher.Table3Result
+	return runGuards(m.RunTable3Workers, workers, rn)
+}
+
+// runGuards runs one per-guard scan for every guard, in Guards order, with
+// the RunTable1 contract on interruption and quarantine.
+func runGuards[R any](scan func(glitcher.Guard, int, *runctl.Run) (R, error),
+	workers int, rn *runctl.Run) ([]R, error) {
+	var out []R
 	for _, g := range glitcher.Guards() {
-		r, err := m.RunTable3Workers(g, workers, rn)
+		r, err := scan(g, workers, rn)
 		if err != nil {
 			if errors.Is(err, runctl.ErrInterrupted) {
 				return out, err

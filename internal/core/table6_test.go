@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"sync"
 	"testing"
 
 	"glitchlab/internal/firmware"
@@ -131,5 +132,41 @@ func TestTable6FullRunMatchesReplay(t *testing.T) {
 	}
 	if fast != full {
 		t.Fatalf("replay %+v != full run %+v", fast, full)
+	}
+}
+
+// TestTable6CellsConcurrent runs two Table VI cells at once on one shared
+// model, as RunTable6 does with more than one worker, and requires the
+// counts of separate serial runs: cells share no mutable state (ci.sh
+// runs this under the race detector).
+func TestTable6CellsConcurrent(t *testing.T) {
+	sc := Table6Scenarios()[1] // if(a==SUCCESS): its Single cells are the cheapest
+	cfgs := Table6Configs(sc.Sensitive...)
+	want := make([]Table6Cell, len(cfgs))
+	for i, cfg := range cfgs {
+		var err error
+		if want[i], err = RunTable6Cell(glitcher.NewModel(DefaultSeed), sc, cfg, AttackSingle, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	model := glitcher.NewModel(DefaultSeed)
+	got := make([]Table6Cell, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = RunTable6Cell(model, sc, cfg, AttackSingle, nil)
+		}()
+	}
+	wg.Wait()
+	for i := range cfgs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != want[i] {
+			t.Errorf("%s: concurrent cell %+v, serial %+v", cfgs[i].Name(), got[i], want[i])
+		}
 	}
 }

@@ -27,9 +27,9 @@ const (
 // counters, per-(width, offset)-cell success-rate accounting with summary
 // coverage gauges, emulator fault counters, and trace records. Attach one
 // to Model.Obs before running scans; a nil *Obs disables instrumentation.
-// Obs itself is single-goroutine (the serial scan drivers call it
-// directly); sharded scans give every worker its own ObsShard, whose
-// Flush merges into the parent under mu — the only lock on the scan path.
+// Obs itself is single-goroutine (the searches call it directly); scans
+// give every worker its own ObsShard, whose Flush merges into the parent
+// under mu — the only lock on the scan path.
 type Obs struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
@@ -212,12 +212,13 @@ func cellParams(i int) Params {
 	return Params{Width: i/side - ParamRange, Offset: i%side - ParamRange}
 }
 
-// ObsShard is a per-worker observation buffer for sharded scans, built on
-// the same batching idea as obs.HistShard: the per-attempt path writes
-// plain worker-local memory, and Flush merges everything into the parent
-// Obs in one locked pass. Because every attempt lands in exactly one
-// shard and every shard is flushed before a sharded scan returns, the
-// flushed counters and coverage gauges equal the serial scan's exactly.
+// ObsShard is a per-worker observation buffer for scans, built on the
+// same batching idea as obs.HistShard: the per-attempt path writes plain
+// worker-local memory, and Flush merges everything into the parent Obs in
+// one locked pass. Because every attempt lands in exactly one shard and
+// every shard is flushed before a scan returns, the flushed counters and
+// coverage gauges equal those of feeding each attempt to Obs directly,
+// whatever the worker count.
 // A nil *ObsShard (from a nil parent) disables instrumentation.
 type ObsShard struct {
 	o                   *Obs
@@ -269,10 +270,10 @@ func (s *ObsShard) NoEffect(p Params) {
 // Flush merges the shard into its parent Obs and resets the shard. The
 // shared counters take batched atomic adds; the cell heatmap, coverage
 // gauges and best-cell gauges are updated under the parent's merge lock.
-// The best-cell gauge is evaluated at merge granularity, so its transient
-// trajectory can differ from a serial scan's (a cell's rate is seen after
-// a whole band of attempts, not after each one); the final coverage and
-// tried/hit cell counts are exact.
+// The best-cell gauge is evaluated at merge granularity, so its trajectory
+// can differ from feeding Obs attempt by attempt (a cell's rate is seen
+// after a worker's whole share of attempts, not after each one); the final
+// coverage and tried/hit cell counts are exact.
 func (s *ObsShard) Flush() {
 	if s == nil {
 		return

@@ -81,8 +81,8 @@ func TestGridBandMatchesGridOrder(t *testing.T) {
 
 // scanCounters are the observer metrics that must match exactly between a
 // serial scan and a sharded one. (The best-cell gauges are excluded by
-// design: the serial scan tracks "best rate ever observed" per attempt,
-// while shards evaluate cells at merge granularity.)
+// design: shards evaluate cells at merge granularity, so the gauge depends
+// on how the attempts were split across workers.)
 var scanCounters = []string{
 	MetricAttempts, MetricSuccesses, MetricSteps,
 	MetricGridTried, MetricGridHit, MetricCoverage,

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"glitchlab/internal/firmware"
 	"glitchlab/internal/obs/profile"
@@ -235,18 +233,9 @@ func (r *Table1Result) UniqueValues() int {
 	return len(set)
 }
 
-// scanObs is the per-attempt observation sink: the serial *Obs or a
-// sharded worker's *ObsShard. Both are nil-safe, so a bare scan passes a
-// typed nil straight through.
-type scanObs interface {
-	Attempt(p Params, r pipeline.Result)
-	NoEffect(p Params)
-}
-
 // scanCycleBand runs the Table I body for one clock cycle over the width
-// band [lo, hi), returning the band's partial per-cycle counts. It is the
-// shared kernel of the serial and sharded single-glitch scans.
-func (m *Model) scanCycleBand(t *Target, cycle, lo, hi int, sink scanObs) CycleCount {
+// band [lo, hi), returning the band's partial per-cycle counts.
+func (m *Model) scanCycleBand(t *Target, cycle, lo, hi int, sink *ObsShard) CycleCount {
 	cmpReg := t.Guard.ComparatorReg()
 	cc := CycleCount{
 		Cycle:       cycle,
@@ -322,7 +311,7 @@ func (m *Model) RunTable1Workers(g Guard, workers int, rn *runctl.Run) (*Table1R
 				ByKind:      map[pipeline.EventKind]uint64{},
 			}
 		},
-		func(t *Target, lo, hi int, sink scanObs) []CycleCount {
+		func(t *Target, lo, hi int, sink *ObsShard) []CycleCount {
 			parts := make([]CycleCount, 0, LoopCycles)
 			for cycle := 0; cycle < LoopCycles; cycle++ {
 				parts = append(parts, m.scanCycleBand(t, cycle, lo, hi, sink))
@@ -340,10 +329,10 @@ func (m *Model) RunTable1Workers(g Guard, workers int, rn *runctl.Run) (*Table1R
 	return res, err
 }
 
-// runBands drives one guard scan over the grid, sharded by width rows: a
-// row (one width, every offset, every cell) is the unit of work, pulled by
-// workers goroutines, each with its own Target (boards are mutable, so
-// none is ever shared) and its own observer shard, flushed before the
+// runBands drives one guard scan over the grid on the runctl scheduler,
+// one width row (one width, every offset, every cell) per unit. Each
+// worker scans on its own Target (boards are mutable, so none is ever
+// shared) with its own observer and profile shards, flushed before the
 // merge. scan must return one cell per scanned unit (cycle or range
 // index), in the same order for every row; rows are summed ascending with
 // mergeCell into cells seeded by newCell, which makes the final counts
@@ -351,152 +340,69 @@ func (m *Model) RunTable1Workers(g Guard, workers int, rn *runctl.Run) (*Table1R
 // split across interruptions, since the unit is a property of the grid,
 // not of the schedule.
 //
-// rn, when non-nil, threads the run controller through the scan: rows are
-// skipped when the checkpoint already holds them, checkpointed when they
-// complete, and quarantined (target rebuilt, scan continues) when they
-// panic; cancellation is polled between rows. An interrupted scan returns
-// the merge of the completed rows together with the wrapped
-// runctl.ErrInterrupted.
+// rn, when non-nil, adds the scheduler's checkpoint skip, per-row
+// checkpointing, panic quarantine (the worker's target is rebuilt) and
+// cancellation between rows. An interrupted scan returns the merge of the
+// completed rows together with the wrapped runctl.ErrInterrupted.
 func runBands[T any](m *Model, g Guard, src string, workers int,
 	rn *runctl.Run, exp string, cells int, newCell func(i int) T,
-	scan func(t *Target, lo, hi int, sink scanObs) []T,
+	scan func(t *Target, lo, hi int, sink *ObsShard) []T,
 	mergeCell func(dst *T, part T)) ([]T, error) {
 
 	m.Prof.Begin()
 	defer m.Prof.End()
 
-	const rows = 2*ParamRange + 1
-	rowKey := func(ri int) string {
-		return fmt.Sprintf("%s guard=%s width=%d", exp, g, ri-ParamRange)
+	keys := make([]string, 2*ParamRange+1)
+	for ri := range keys {
+		keys[ri] = fmt.Sprintf("%s guard=%s width=%d", exp, g, ri-ParamRange)
 	}
-
-	// Each row slot is written by exactly one worker (or restored here from
-	// the checkpoint before any worker starts), so no locking is needed.
-	rowCells := make([][]T, rows)
-	haveRow := make([]bool, rows)
-	var pending []int
-	for ri := 0; ri < rows; ri++ {
-		var loaded []T
-		if rn.Lookup(rowKey(ri), &loaded) && len(loaded) == cells {
-			rowCells[ri] = loaded
-			haveRow[ri] = true
-			continue
-		}
-		pending = append(pending, ri)
+	type worker struct {
+		t    *Target
+		obs  *ObsShard
+		prof *profile.Shard
 	}
-
-	scanRow := func(t *Target, ri int, sink scanObs) error {
-		key := rowKey(ri)
-		return rn.Protect(key, func() error {
-			lo := ri - ParamRange
-			part := scan(t, lo, lo+1, sink)
-			if err := rn.Complete(key, part); err != nil {
-				return err
-			}
-			rowCells[ri] = part
-			haveRow[ri] = true
-			return nil
-		})
-	}
-
-	assemble := func() []T {
-		merged := make([]T, cells)
-		for i := range merged {
-			merged[i] = newCell(i)
-		}
-		for ri := 0; ri < rows; ri++ {
-			if !haveRow[ri] {
-				continue
-			}
-			for i := range merged {
-				mergeCell(&merged[i], rowCells[ri][i])
-			}
-		}
-		return merged
-	}
-
-	if workers <= 1 {
-		psh := m.Prof.Shard()
-		defer psh.Flush()
-		var t *Target
-		for _, ri := range pending {
-			if err := rn.Err(); err != nil {
-				return assemble(), err
-			}
-			if t == nil {
-				var err error
-				if t, err = NewTarget(g, src); err != nil {
-					return nil, err
-				}
-				t.FullRun = m.FullRun
-				m.Obs.AttachTarget(t)
-				t.Prof = psh
-			}
-			if err := scanRow(t, ri, m.Obs); err != nil {
-				var pe *runctl.PanicError
-				if errors.As(err, &pe) {
-					// The board may be wedged mid-attempt; rebuild it for
-					// the next row and leave this one quarantined.
-					t = nil
-					continue
-				}
-				return nil, err
-			}
-		}
-		return assemble(), rn.Err()
-	}
-
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	var next atomic.Int64
-	var firstErr atomic.Pointer[error]
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	rows, done, err := runctl.Sweep(rn, runctl.Units[*worker, []T]{
+		Keys:    keys,
+		Workers: workers,
+		NewState: func() (*worker, error) {
 			t, err := NewTarget(g, src)
 			if err != nil {
-				firstErr.CompareAndSwap(nil, &err)
-				return
+				return nil, err
 			}
 			t.FullRun = m.FullRun
 			m.Obs.AttachTarget(t)
-			shard := m.Obs.Shard()
-			defer shard.Flush()
-			psh := m.Prof.Shard()
-			defer psh.Flush()
-			t.Prof = psh
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pending) || firstErr.Load() != nil || rn.Err() != nil {
-					return
-				}
-				if err := scanRow(t, pending[i], shard); err != nil {
-					var pe *runctl.PanicError
-					if errors.As(err, &pe) {
-						t, err = NewTarget(g, src)
-						if err != nil {
-							firstErr.CompareAndSwap(nil, &err)
-							return
-						}
-						t.FullRun = m.FullRun
-						m.Obs.AttachTarget(t)
-						t.Prof = psh
-						continue
-					}
-					firstErr.CompareAndSwap(nil, &err)
-					return
-				}
-			}
-		}()
+			w := &worker{t: t, obs: m.Obs.Shard(), prof: m.Prof.Shard()}
+			t.Prof = w.prof
+			return w, nil
+		},
+		Release: func(w *worker) {
+			w.obs.Flush()
+			w.prof.Flush()
+		},
+		Do: func(w *worker, ri int) ([]T, error) {
+			lo := ri - ParamRange
+			return scan(w.t, lo, lo+1, w.obs), nil
+		},
+		// A row read back from the checkpoint file must hold one cell per
+		// scanned unit; any other row is rerun.
+		Check: func(row []T) bool { return len(row) == cells },
+	})
+	if err != nil && !errors.Is(err, runctl.ErrInterrupted) {
+		return nil, err
 	}
-	wg.Wait()
-	if errp := firstErr.Load(); errp != nil {
-		return nil, *errp
+	merged := make([]T, cells)
+	for i := range merged {
+		merged[i] = newCell(i)
 	}
-	return assemble(), rn.Err()
+	for ri, row := range rows {
+		if !done[ri] {
+			continue
+		}
+		for i := range merged {
+			mergeCell(&merged[i], row[i])
+		}
+	}
+	return merged, err
 }
 
 // Table2Result is one guard's multi-glitch scan (Table II).
@@ -524,7 +430,7 @@ type table2Cell struct {
 
 // scanTable2Band runs the Table II body for one clock cycle over the
 // width band [lo, hi).
-func (m *Model) scanTable2Band(t *Target, cycle, lo, hi int, sink scanObs) table2Cell {
+func (m *Model) scanTable2Band(t *Target, cycle, lo, hi int, sink *ObsShard) table2Cell {
 	var cell table2Cell
 	GridBand(lo, hi, func(p Params) bool {
 		cell.Attempts++
@@ -564,7 +470,7 @@ func (m *Model) RunTable2Workers(g Guard, workers int, rn *runctl.Run) (*Table2R
 	merged, err := runBands(m, g, g.DoubleLoopSource(), workers, rn, "table2",
 		LoopCycles,
 		func(int) table2Cell { return table2Cell{} },
-		func(t *Target, lo, hi int, sink scanObs) []table2Cell {
+		func(t *Target, lo, hi int, sink *ObsShard) []table2Cell {
 			parts := make([]table2Cell, 0, LoopCycles)
 			for cycle := 0; cycle < LoopCycles; cycle++ {
 				parts = append(parts, m.scanTable2Band(t, cycle, lo, hi, sink))
@@ -627,7 +533,7 @@ type table3Cell struct {
 
 // scanTable3Band runs the Table III body for one glitched range [0, n)
 // over the width band [lo, hi).
-func (m *Model) scanTable3Band(t *Target, n, lo, hi int, sink scanObs) table3Cell {
+func (m *Model) scanTable3Band(t *Target, n, lo, hi int, sink *ObsShard) table3Cell {
 	var cell table3Cell
 	GridBand(lo, hi, func(p Params) bool {
 		cell.Attempts++
@@ -665,7 +571,7 @@ func (m *Model) RunTable3Workers(g Guard, workers int, rn *runctl.Run) (*Table3R
 	merged, err := runBands(m, g, g.LongGlitchSource(), workers, rn, "table3",
 		len(ns),
 		func(int) table3Cell { return table3Cell{} },
-		func(t *Target, lo, hi int, sink scanObs) []table3Cell {
+		func(t *Target, lo, hi int, sink *ObsShard) []table3Cell {
 			parts := make([]table3Cell, 0, len(ns))
 			for _, n := range ns {
 				parts = append(parts, m.scanTable3Band(t, n, lo, hi, sink))

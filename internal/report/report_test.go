@@ -253,7 +253,7 @@ func TestTable6Golden(t *testing.T) {
 	if start < 0 || end < start {
 		t.Fatal("results/section7.txt has no Table VI block")
 	}
-	t6, err := core.RunTable6(glitcher.NewModel(core.DefaultSeed), nil, nil)
+	t6, err := core.RunTable6(glitcher.NewModel(core.DefaultSeed), 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,34 +134,3 @@ func TestExhaustCountsSuccesses(t *testing.T) {
 		t.Fatalf("hits %d != successes %d", res.CoarseHits, res.Successes)
 	}
 }
-
-func TestExhaustWorkersMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-grid coarse scans")
-	}
-	m := glitcher.NewModel(1)
-	s, err := New(m, glitcher.GuardWhileA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := s.Exhaust()
-	for _, workers := range []int{2, 4} {
-		ps, err := New(m, glitcher.GuardWhileA)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := ps.ExhaustWorkers(workers, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parallel.Attempts != serial.Attempts ||
-			parallel.Successes != serial.Successes ||
-			parallel.CoarseHits != serial.CoarseHits ||
-			parallel.Found != serial.Found {
-			t.Errorf("workers=%d: got %d/%d/%d found=%v, want %d/%d/%d found=%v",
-				workers, parallel.Attempts, parallel.Successes, parallel.CoarseHits,
-				parallel.Found, serial.Attempts, serial.Successes, serial.CoarseHits,
-				serial.Found)
-		}
-	}
-}

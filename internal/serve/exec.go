@@ -43,7 +43,8 @@ type Env struct {
 	Progress func(label string) func(done, total uint64)
 	// Prof, when non-nil, samples phase attribution on the hot path.
 	Prof *profile.Profile
-	// EvalProgress, when non-nil, receives Table VI per-cell progress.
+	// EvalProgress, when non-nil, receives Table VI per-cell progress
+	// (concurrently, when Workers > 1).
 	EvalProgress func(sc, cfg string, a core.Attack, cell core.Table6Cell)
 	// Run threads the run controller through the engines: cancellation,
 	// checkpoint/resume and panic quarantine. May be nil.
@@ -205,7 +206,7 @@ func execEval(spec Spec, env Env, w io.Writer) error {
 		if env.Reg != nil {
 			m.Obs = glitcher.NewObs(env.Reg, env.Tracer)
 		}
-		t6, err := core.RunTable6(m, env.EvalProgress, env.Run)
+		t6, err := core.RunTable6(m, env.Workers, env.EvalProgress, env.Run)
 		if err != nil {
 			return err
 		}

@@ -140,29 +140,40 @@ func (s Spec) Normalize() (Spec, error) {
 
 // ConfigHash is the runctl manifest fingerprint for a normalized spec. It
 // hashes exactly the per-kind structs the batch CLIs hash, so a job run
-// directory is mutually resumable with the equivalent CLI invocation.
+// directory is mutually resumable with the equivalent CLI invocation. The
+// engine stamp (core.ResultStamp) is folded in too: a run interrupted
+// under one engine revision refuses to resume under another, with a
+// *runctl.DriftError on the config field, instead of mixing units
+// computed by two engines.
 func (s Spec) ConfigHash() string {
+	return s.configHash(core.ResultStamp())
+}
+
+func (s Spec) configHash(stamp string) string {
 	switch s.Kind {
 	case KindCampaign:
 		return runctl.ConfigHash(struct {
+			Stamp       string
 			Model       string
 			ZeroInvalid bool
 			PadUDF      bool
 			MaxFlips    int
-		}{s.Model, s.ZeroInvalid, s.PadUDF, s.MaxFlips})
+		}{stamp, s.Model, s.ZeroInvalid, s.PadUDF, s.MaxFlips})
 	case KindScan:
 		return runctl.ConfigHash(struct {
-			Exp  string
-			Seed uint64
-		}{s.Exp, s.Seed})
+			Stamp string
+			Exp   string
+			Seed  uint64
+		}{stamp, s.Exp, s.Seed})
 	default:
 		return runctl.ConfigHash(struct {
+			Stamp       string
 			Exp         string
 			Seed        uint64
 			Model       string
 			ZeroInvalid bool
 			MaxFlips    int
-		}{s.Exp, s.Seed, s.Model, s.ZeroInvalid, s.MaxFlips})
+		}{stamp, s.Exp, s.Seed, s.Model, s.ZeroInvalid, s.MaxFlips})
 	}
 }
 

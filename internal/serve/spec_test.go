@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"glitchlab/internal/core"
+	"glitchlab/internal/runctl"
 )
 
 func mustNormalize(t *testing.T, s Spec) Spec {
@@ -204,6 +207,40 @@ func TestConfigHashSharedWithCLI(t *testing.T) {
 	c := mustNormalize(t, Spec{Kind: KindScan, Exp: "search", Seed: 2})
 	if a.ConfigHash() == c.ConfigHash() {
 		t.Error("campaign and scan hashes should differ")
+	}
+}
+
+// TestResumeAcrossEngineStampRefused opens a table6 run directory under
+// an older engine stamp and resumes it under the current one: the resume
+// must fail with a config DriftError rather than mix cells computed by two
+// engine revisions.
+func TestResumeAcrossEngineStampRefused(t *testing.T) {
+	spec := mustNormalize(t, Spec{Kind: KindEval, Exp: "table6"})
+	dir := t.TempDir()
+	old := runctl.Manifest{Tool: spec.ToolName(), Seed: spec.Seed,
+		ConfigHash: spec.configHash("engine/v1 rules/old")}
+	rn, err := runctl.Open(context.Background(), dir, old, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rn.Complete("table6 scenario=while(!a) config=all attack=Single",
+		struct{ Total uint64 }{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rn.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cur := runctl.Manifest{Tool: spec.ToolName(), Seed: spec.Seed, ConfigHash: spec.ConfigHash()}
+	_, err = runctl.Open(context.Background(), dir, cur, true)
+	var drift *runctl.DriftError
+	if !errors.As(err, &drift) || drift.Field != "config" {
+		t.Fatalf("resume across engine stamps returned %v, want a config DriftError", err)
+	}
+	if rn, err := runctl.Open(context.Background(), dir, old, true); err != nil {
+		t.Fatalf("resume under the original stamp failed: %v", err)
+	} else {
+		rn.Close()
 	}
 }
 
