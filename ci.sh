@@ -29,7 +29,7 @@ go test -run TestMetricsEndpoint ./internal/obs/
 # and the sharded-scan observer merge. The full-grid golden-equivalence
 # tests stay in the non-short suite; these small slices keep CI fast.
 go test -race -run 'TestParallelObserverAccounting|TestParallelMoreWorkersThanUnits|TestRunNilObs' ./internal/campaign/
-go test -race -run 'TestObsShardFlushMatchesSerial|TestWidthBands|TestGridBand' ./internal/glitcher/
+go test -race -run 'TestObsShardFlushMatchesSerial|TestGridBand' ./internal/glitcher/
 go run ./cmd/glitchemu -model and -max-flips 2 -workers 4 >/dev/null
 
 # Crash-safe run-controller gates: the runctl suite and a campaign
@@ -47,7 +47,7 @@ trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/glitchemu" ./cmd/glitchemu
 "$tmp/glitchemu" -workers 2 -out "$tmp/golden.txt"
 status=0
-"$tmp/glitchemu" -workers 2 -run-dir "$tmp/run" -deadline 250ms \
+"$tmp/glitchemu" -workers 2 -run-dir "$tmp/run" -deadline 50ms \
 	-out "$tmp/partial.txt" 2>/dev/null || status=$?
 if [ "$status" -ne 3 ]; then
 	echo "ci: deadline-interrupted run exited $status, want 3" >&2
@@ -86,7 +86,7 @@ go build -o "$tmp/glitcheval" ./cmd/glitcheval
 "$tmp/glitcheval" -exp table6 -full-run -out "$tmp/table6_full.txt"
 cmp "$tmp/table6.txt" "$tmp/table6_full.txt"
 status=0
-"$tmp/glitcheval" -exp table6 -run-dir "$tmp/table6run" -deadline 1s \
+"$tmp/glitcheval" -exp table6 -run-dir "$tmp/table6run" -deadline 250ms \
 	-out "$tmp/table6_partial.txt" 2>/dev/null || status=$?
 if [ "$status" -ne 3 ]; then
 	echo "ci: deadline-interrupted table6 run exited $status, want 3" >&2
@@ -104,7 +104,7 @@ cmp "$tmp/table6.txt" "$tmp/table6_resumed.txt"
 cmp "$tmp/table6.txt" "$tmp/table6_serial.txt"
 status=0
 "$tmp/glitcheval" -exp table6 -workers 2 -run-dir "$tmp/table6run2" \
-	-deadline 1s -out "$tmp/table6_partial2.txt" 2>/dev/null || status=$?
+	-deadline 250ms -out "$tmp/table6_partial2.txt" 2>/dev/null || status=$?
 if [ "$status" -ne 3 ]; then
 	echo "ci: deadline-interrupted 2-worker table6 run exited $status, want 3" >&2
 	exit 1
@@ -280,5 +280,29 @@ fi
 "$tmp/glitchemu" -workers 2 -run-dir "$tmp/chaosrun" -resume \
 	-out "$tmp/chaos_resumed.txt"
 cmp "$tmp/golden.txt" "$tmp/chaos_resumed.txt"
+
+# Benchmark correctness gates: glitchbench's own tests, then a short pass
+# of every workload. The benchmark exits 0 even when an output check
+# (digests, accounting, served bytes equal to a direct Exec) fails, so
+# the step reads its JSON result line, which must report "correct":true
+# and "failed":0. No timing is gated.
+(cd glitchbench && go test ./...)
+for w in table6 scans campaign glitchd; do
+	line=$(bash glitchbench/run.sh --workload "$w" --seconds 1 --trace 0 | tail -n 1)
+	case "$line" in
+	*'"correct":true'*) ;;
+	*)
+		echo "ci: glitchbench $w failed its output checks: $line" >&2
+		exit 1
+		;;
+	esac
+	case "$line" in
+	*'"failed":0,'*) ;;
+	*)
+		echo "ci: glitchbench $w had failed operations: $line" >&2
+		exit 1
+		;;
+	esac
+done
 
 echo "ci: OK"

@@ -525,3 +525,35 @@ func TestParseSeverity(t *testing.T) {
 		t.Error("ParseSeverity accepted an unknown name")
 	}
 }
+
+// TestDelayQuotientEmittedRoutine pins the seed-quotient fact for the
+// random-delay routine the code generator emits: it reads only lr, leaves
+// r0, r2 and r3 the same for every seed and r1 seed-dependent. A build
+// without the delay defense has no fact.
+func TestDelayQuotientEmittedRoutine(t *testing.T) {
+	const src = `
+volatile unsigned int a;
+void main(void) {
+	while (!a) {}
+	halt();
+}`
+	img := build(t, src, passes.Config{Delay: true}, true).Image
+	seed := img.GlobalAddrs["__gr_seed_ram"]
+	q, ok := analyze.DelayQuotient(img.Prog, seed)
+	if !ok {
+		t.Fatal("no seed-quotient fact for the emitted delay routine")
+	}
+	entry, _ := img.Symbol(passes.DelayFunc)
+	if q.Seed != seed || q.Entry != entry || q.End <= entry {
+		t.Errorf("fact %+v: want seed %#x, entry %#x", q, seed, entry)
+	}
+	const r0, r1, r2, r3 = 1 << 0, 1 << 1, 1 << 2, 1 << 3
+	if q.Reads != 1<<isa.LR || q.Clean != r0|r2|r3 || q.Tainted != r1 {
+		t.Errorf("reads %#x clean %#x tainted %#x, want %#x %#x %#x",
+			q.Reads, q.Clean, q.Tainted, 1<<isa.LR, r0|r2|r3, r1)
+	}
+	plain := build(t, src, passes.Config{}, true).Image
+	if _, ok := analyze.DelayQuotient(plain.Prog, seed); ok {
+		t.Error("a build without the delay defense has a seed-quotient fact")
+	}
+}

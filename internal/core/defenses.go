@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 
+	"glitchlab/internal/analyze"
 	"glitchlab/internal/codegen"
 	"glitchlab/internal/firmware"
 	"glitchlab/internal/glitcher"
@@ -263,6 +264,9 @@ func runTable6Cell(model *glitcher.Model, sc Scenario, cfg passes.Config,
 	if !model.FullRun {
 		b.replay = true
 		m.LoopStop = loopAddr
+		if q, ok := analyze.DelayQuotient(cr.Image.Prog, b.ramSeed); ok {
+			m.Quotient = &q
+		}
 	}
 
 	type span struct{ from, to int }
@@ -283,6 +287,29 @@ func runTable6Cell(model *glitcher.Model, sc Scenario, cfg passes.Config,
 		}
 	}
 
+	// Long's spans are nested prefixes of its last one. In trigger
+	// window 0 whether an event hits is a function of (point, rel)
+	// alone, so one scan per grid point finds its first hit (the last
+	// span's end if none), and span [0,n) delivers an event iff that hit
+	// is below n.
+	var firstHit []uint8
+	if attack == AttackLong {
+		if err := rn.Err(); err != nil {
+			return Table6Cell{}, err
+		}
+		to := spans[len(spans)-1].to
+		firstHit = make([]uint8, 0, glitcher.GridSize)
+		glitcher.Grid(func(p glitcher.Params) {
+			rel := 0
+			for ; rel < to; rel++ {
+				if _, hit := model.EventInContext(p, rel, 0, rel); hit {
+					break
+				}
+			}
+			firstHit = append(firstHit, uint8(rel))
+		})
+	}
+
 	var cell Table6Cell
 	var n uint32 // attempt index in grid order, skipped points included
 	for _, sp := range spans {
@@ -291,6 +318,7 @@ func runTable6Cell(model *glitcher.Model, sc Scenario, cfg passes.Config,
 		}
 		aborted := false
 		sinceCheck := 0
+		g := 0 // grid position
 		budget := bootCycles + uint64(sp.to) + table6Settle
 		glitcher.GridUntil(func(p glitcher.Params) bool {
 			if sinceCheck++; sinceCheck >= spansCheckEvery {
@@ -306,8 +334,13 @@ func runTable6Cell(model *glitcher.Model, sc Scenario, cfg passes.Config,
 			// Deterministic fast path: a parameter point that delivers
 			// no event anywhere in the window cannot change the run.
 			any := false
-			for rel := sp.from; rel < sp.to && !any; rel++ {
-				_, any = model.EventInContext(p, rel, 0, rel-sp.from)
+			if firstHit != nil {
+				any = int(firstHit[g]) < sp.to
+				g++
+			} else {
+				for rel := sp.from; rel < sp.to && !any; rel++ {
+					_, any = model.EventInContext(p, rel, 0, rel-sp.from)
+				}
 			}
 			if !any {
 				return true

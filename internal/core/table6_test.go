@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync"
 	"testing"
 
@@ -167,6 +168,81 @@ func TestTable6CellsConcurrent(t *testing.T) {
 		}
 		if got[i] != want[i] {
 			t.Errorf("%s: concurrent cell %+v, serial %+v", cfgs[i].Name(), got[i], want[i])
+		}
+	}
+}
+
+// TestTable6DelayHangsStopEarly pins the seed-quotient loop stop's reach
+// on a delay build: in while(!a) All Single at least 90% of the hangs end
+// before their budget (none did before the quotient), and the cell still
+// counts exactly as the reference path that runs every attempt from
+// reset to its budget.
+func TestTable6DelayHangsStopEarly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a Table VI cell twice, once on the reference path")
+	}
+	sc := Table6Scenarios()[0] // while(!a)
+	cfg := passes.All(sc.Sensitive...)
+	hangs, early := 0, 0
+	fast, err := runTable6Cell(glitcher.NewModel(DefaultSeed), sc, cfg, AttackSingle, nil, func(a table6Attempt) {
+		if a.Result.Reason == pipeline.StopHung {
+			hangs++
+			if a.Result.Cycles < a.Budget {
+				early++
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hangs == 0 || early*10 < hangs*9 {
+		t.Errorf("%d of %d hangs stopped early, want at least 90%%", early, hangs)
+	}
+	ref := glitcher.NewModel(DefaultSeed)
+	ref.FullRun = true
+	full, err := RunTable6Cell(ref, sc, cfg, AttackSingle, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast != full {
+		t.Errorf("replay %+v != full run %+v", fast, full)
+	}
+}
+
+// TestTable6LongPrefilter checks the Long attack's one-scan prefilter:
+// in every Long cell the attempts executed are exactly those whose span
+// delivers an event by the per-span scan, numbered in the same grid
+// order.
+func TestTable6LongPrefilter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs all four Long cells")
+	}
+	model := glitcher.NewModel(DefaultSeed)
+	var want []uint32
+	n := uint32(0)
+	for to := 10; to <= 100; to += 10 {
+		glitcher.Grid(func(p glitcher.Params) {
+			for rel := 0; rel < to; rel++ {
+				if _, hit := model.EventInContext(p, rel, 0, rel); hit {
+					want = append(want, n)
+					break
+				}
+			}
+			n++
+		})
+	}
+	for _, sc := range Table6Scenarios() {
+		for _, cfg := range Table6Configs(sc.Sensitive...) {
+			var got []uint32
+			if _, err := runTable6Cell(model, sc, cfg, AttackLong, nil, func(a table6Attempt) {
+				got = append(got, a.N)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s/%s: executed %d attempts, the per-span scan %d (or a different set)",
+					sc.Name, cfg.Name(), len(got), len(want))
+			}
 		}
 	}
 }

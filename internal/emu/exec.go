@@ -421,3 +421,25 @@ func (c *CPU) shiftReg(op isa.Op, value, amount32 uint32) uint32 {
 	c.setNZ(v)
 	return v
 }
+
+// Footprint reports the data-memory bytes [addr, addr+n) that executing
+// in at pc with the CPU's current registers would load or store; n is 0
+// for instructions that access no data memory.
+func (c *CPU) Footprint(pc uint32, in isa.Inst) (addr, n uint32) {
+	switch in.Op {
+	case isa.OpLDRLit:
+		return ((pc + 4) &^ 3) + in.Imm, 4
+	case isa.OpPUSH:
+		n = 4 * bitCount(in.Regs)
+		return c.R[isa.SP] - n, n
+	case isa.OpPOP:
+		return c.R[isa.SP], 4 * bitCount(in.Regs)
+	case isa.OpSTM, isa.OpLDM:
+		return c.R[in.Rn], 4 * bitCount(in.Regs)
+	}
+	if in.Op.IsLoad() || in.Op.IsStore() {
+		addr, n, _ = c.effAddr(pc, in)
+		return addr, n
+	}
+	return 0, 0
+}

@@ -461,28 +461,3 @@ func GridBand(lo, hi int, fn func(p Params) bool) bool {
 	}
 	return true
 }
-
-// WidthBands partitions the grid's 2*ParamRange+1 width rows into at most
-// n contiguous, near-equal [lo, hi) bands covering the grid exactly.
-func WidthBands(n int) [][2]int {
-	rows := 2*ParamRange + 1
-	if n > rows {
-		n = rows
-	}
-	if n < 1 {
-		n = 1
-	}
-	bands := make([][2]int, 0, n)
-	lo := -ParamRange
-	for i := 0; i < n; i++ {
-		// Distribute the remainder one row at a time so band sizes differ
-		// by at most one.
-		size := rows / n
-		if i < rows%n {
-			size++
-		}
-		bands = append(bands, [2]int{lo, lo + size})
-		lo += size
-	}
-	return bands
-}

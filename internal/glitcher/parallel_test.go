@@ -7,49 +7,6 @@ import (
 	"glitchlab/internal/obs"
 )
 
-func TestWidthBandsPartitionGrid(t *testing.T) {
-	rows := 2*ParamRange + 1
-	for _, n := range []int{1, 2, 3, 4, 7, 8, rows, rows + 50} {
-		bands := WidthBands(n)
-		want := n
-		if want > rows {
-			want = rows
-		}
-		if len(bands) != want {
-			t.Fatalf("WidthBands(%d) returned %d bands, want %d", n, len(bands), want)
-		}
-		lo := -ParamRange
-		covered := 0
-		for _, b := range bands {
-			if b[0] != lo {
-				t.Fatalf("WidthBands(%d): band starts at %d, want %d (gap or overlap)", n, b[0], lo)
-			}
-			size := b[1] - b[0]
-			if size < 1 {
-				t.Fatalf("WidthBands(%d): empty band %v", n, b)
-			}
-			covered += size
-			lo = b[1]
-		}
-		if lo != ParamRange+1 || covered != rows {
-			t.Fatalf("WidthBands(%d) covers %d rows ending at %d, want %d ending at %d",
-				n, covered, lo, rows, ParamRange+1)
-		}
-		// Near-equal: sizes differ by at most one row.
-		min, max := rows, 0
-		for _, b := range bands {
-			if s := b[1] - b[0]; s < min {
-				min = s
-			} else if s > max {
-				max = s
-			}
-		}
-		if max > min+1 {
-			t.Fatalf("WidthBands(%d): band sizes range %d..%d, want spread <= 1", n, min, max)
-		}
-	}
-}
-
 func TestGridUntilStops(t *testing.T) {
 	n := 0
 	full := GridUntil(func(p Params) bool {
@@ -68,14 +25,15 @@ func TestGridUntilStops(t *testing.T) {
 func TestGridBandMatchesGridOrder(t *testing.T) {
 	var whole, banded []Params
 	Grid(func(p Params) { whole = append(whole, p) })
-	for _, b := range WidthBands(4) {
+	// Four contiguous bands of unequal width, covering every row.
+	for _, b := range [][2]int{{-ParamRange, -30}, {-30, 0}, {0, 1}, {1, ParamRange + 1}} {
 		GridBand(b[0], b[1], func(p Params) bool {
 			banded = append(banded, p)
 			return true
 		})
 	}
 	if !reflect.DeepEqual(whole, banded) {
-		t.Fatal("concatenated WidthBands(4) traversal differs from Grid order")
+		t.Fatal("concatenated band traversal differs from Grid order")
 	}
 }
 

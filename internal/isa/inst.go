@@ -265,3 +265,73 @@ func regListString(op Op, regs uint16) string {
 	}
 	return strings.Join(parts, ", ")
 }
+
+// RegUse returns the registers the instruction reads and the registers it
+// writes, as masks with bit r for register r. reads includes every
+// operand register, the base and value registers of a memory access and
+// the implicit SP of stack operations; writes lists only registers every
+// completed execution overwrites. Instructions that always fault (udf,
+// bkpt, svc, invalid encodings) report every register as read.
+func (i Inst) RegUse() (reads, writes uint16) {
+	bit := func(r Reg) uint16 { return 1 << r }
+	const sp, lr, pc = 1 << SP, 1 << LR, 1 << PC
+	switch i.Op {
+	case OpLSLImm, OpLSRImm, OpASRImm, OpMVN, OpMOVHi,
+		OpSXTH, OpSXTB, OpUXTH, OpUXTB, OpREV, OpREV16, OpREVSH:
+		return bit(i.Rm), bit(i.Rd)
+	case OpADDReg, OpSUBReg, OpADDHi:
+		return bit(i.Rn) | bit(i.Rm), bit(i.Rd)
+	case OpADDImm3, OpSUBImm3, OpRSB:
+		return bit(i.Rn), bit(i.Rd)
+	case OpMOVImm, OpLDRLit, OpADR:
+		return 0, bit(i.Rd)
+	case OpCMPImm:
+		return bit(i.Rn), 0
+	case OpADDImm8, OpSUBImm8:
+		return bit(i.Rd), bit(i.Rd)
+	case OpAND, OpEOR, OpLSLReg, OpLSRReg, OpASRReg, OpADC, OpSBC,
+		OpRORReg, OpORR, OpMUL, OpBIC:
+		return bit(i.Rd) | bit(i.Rm), bit(i.Rd)
+	case OpTST, OpCMPReg, OpCMN, OpCMPHi:
+		return bit(i.Rn) | bit(i.Rm), 0
+	case OpBX:
+		return bit(i.Rm), 0
+	case OpBLX:
+		return bit(i.Rm), lr
+	case OpBL:
+		return 0, lr
+	case OpLDRReg, OpLDRHReg, OpLDRBReg, OpLDRSB, OpLDRSH:
+		return bit(i.Rn) | bit(i.Rm), bit(i.Rd)
+	case OpLDRImm, OpLDRBImm, OpLDRHImm:
+		return bit(i.Rn), bit(i.Rd)
+	case OpSTRReg, OpSTRHReg, OpSTRBReg:
+		return bit(i.Rd) | bit(i.Rn) | bit(i.Rm), 0
+	case OpSTRImm, OpSTRBImm, OpSTRHImm:
+		return bit(i.Rd) | bit(i.Rn), 0
+	case OpLDRSP, OpADDSP:
+		return sp, bit(i.Rd)
+	case OpSTRSP:
+		return bit(i.Rd) | sp, 0
+	case OpADDSPImm, OpSUBSPImm:
+		return sp, sp
+	case OpPUSH:
+		reads = sp | i.Regs&0xff
+		if i.Regs&(1<<8) != 0 {
+			reads |= lr
+		}
+		return reads, sp
+	case OpPOP:
+		writes = sp | i.Regs&0xff
+		if i.Regs&(1<<8) != 0 {
+			writes |= pc
+		}
+		return sp, writes
+	case OpSTM:
+		return bit(i.Rn) | i.Regs&0xff, bit(i.Rn)
+	case OpLDM:
+		return bit(i.Rn), bit(i.Rn) | i.Regs&0xff
+	case OpNOP, OpCPS, OpBCond, OpB:
+		return 0, 0
+	}
+	return 0xffff, 0
+}

@@ -15,7 +15,10 @@
 // boundaries. The per-phase report extrapolates the sampled costs over
 // the full execution count and checks itself against the measured wall
 // clock (Report.CoveragePct), so a phase breakdown that lost track of
-// where the time went is visible as such.
+// where the time went is visible as such. The extrapolation is a
+// median of means over interleaved sample blocks (see Report), so one
+// sample the OS preempted for milliseconds cannot multiply into the
+// estimate.
 //
 // Calibrations keep the sampled numbers honest:
 //
@@ -43,6 +46,8 @@ package profile
 import (
 	"fmt"
 	"math/bits"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -107,6 +112,9 @@ type Profile struct {
 	samples atomic.Uint64
 	ns      [NumPhases]atomic.Int64
 	buckets [NumPhases][nsBuckets]atomic.Uint64
+
+	mu     sync.Mutex
+	blocks [medianBlocks]phaseBlock // the shards' flushed blocks, summed
 
 	wallNs atomic.Int64
 	begun  atomic.Int64 // monotonic ns at Begin; 0 when not running
@@ -263,6 +271,7 @@ func (p *Profile) Shard() *Shard {
 	// deterministic for a fixed work split.
 	s.rng.Seed(p.shardSeq.Add(1) * 0x9e3779b9)
 	s.next = s.gap()
+	s.blk = &s.blocks[0]
 	return s
 }
 
@@ -278,6 +287,27 @@ type Shard struct {
 	samples uint64
 	ns      [NumPhases]int64
 	buckets [NumPhases][nsBuckets]uint64
+
+	seq    uint64                   // samples taken over the shard's life
+	blk    *phaseBlock              // the current sample's block
+	blocks [medianBlocks]phaseBlock // not yet flushed
+}
+
+// medianBlocks is the number of blocks Report takes the median over. A
+// shard deals its samples round-robin into the blocks, so each block
+// spreads evenly over the whole run and its mean estimates the run's
+// mean, even when the cost per execution drifts from one work unit to
+// the next (time-contiguous blocks would each see one region of the
+// workload, and their median would pick the cheap one). Each outlier
+// sample spoils one block, so the median holds while fewer than half of
+// them are hit; a run sees a few to a dozen slow samples (preemption,
+// GC), hence 64.
+const medianBlocks = 64
+
+// phaseBlock holds one block's sample count and phase totals.
+type phaseBlock struct {
+	n  uint64
+	ns [NumPhases]int64
 }
 
 // Sample accounts one execution and reports whether this one should be
@@ -299,6 +329,9 @@ func (s *Shard) Sample() bool {
 	}
 	s.samples++
 	s.next = s.execs + s.gap()
+	s.blk = &s.blocks[s.seq%medianBlocks]
+	s.blk.n++
+	s.seq++
 	return true
 }
 
@@ -346,6 +379,7 @@ func (t *Timer) Mark(phase Phase) int64 {
 // observe adds d nanoseconds to a phase total and its duration bucket.
 func (s *Shard) observe(phase Phase, d int64) {
 	s.ns[phase] += d
+	s.blk.ns[phase] += d
 	i := 0
 	if d > 1 {
 		i = bits.Len64(uint64(d - 1))
@@ -374,6 +408,8 @@ func (s *Shard) Split(from, to Phase, ns, max int64) int64 {
 	}
 	s.ns[from] -= ns
 	s.ns[to] += ns
+	s.blk.ns[from] -= ns
+	s.blk.ns[to] += ns
 	return ns
 }
 
@@ -395,6 +431,7 @@ func (s *Shard) Discount(phase Phase, ns, max int64) int64 {
 		return 0
 	}
 	s.ns[phase] -= ns
+	s.blk.ns[phase] -= ns
 	return ns
 }
 
@@ -442,6 +479,16 @@ func (s *Shard) Flush() {
 		s.p.samples.Add(s.samples)
 		s.samples = 0
 	}
+	s.p.mu.Lock()
+	for i := range s.blocks {
+		b, sb := &s.p.blocks[i], &s.blocks[i]
+		b.n += sb.n
+		for ph := range sb.ns {
+			b.ns[ph] += sb.ns[ph]
+		}
+		*sb = phaseBlock{}
+	}
+	s.p.mu.Unlock()
 	for ph := 0; ph < NumPhases; ph++ {
 		if s.ns[ph] != 0 {
 			s.p.ns[ph].Add(s.ns[ph])
@@ -481,6 +528,15 @@ type Report struct {
 // Report extrapolates the sampled phase costs over the full execution
 // count and compares them to the measured wall clock. Flush every shard
 // first. Safe on a nil profile (returns a zero report).
+//
+// A phase's estimate is the median, over medianBlocks interleaved sample
+// blocks, of the block's mean phase cost, times the execution count. A
+// plain mean (sampled total x execs/samples) lets one sample the OS
+// preempted or a GC pause stalled, milliseconds against thousands of
+// sub-microsecond samples, move the estimate by tens of percent; the
+// block mean absorbs it and the median discards that block. The plain
+// mean remains the estimate while a block is empty, and when every
+// execution is sampled, where nothing is extrapolated.
 func (p *Profile) Report() Report {
 	if p == nil {
 		return Report{}
@@ -505,11 +561,27 @@ func (p *Profile) Report() Report {
 	if sampled > 0 {
 		scale = float64(r.Execs) / float64(sampled)
 	}
+	p.mu.Lock()
+	blocks := p.blocks
+	p.mu.Unlock()
+	robust := scale > 1
+	for _, b := range blocks {
+		robust = robust && b.n > 0
+	}
+	var means [medianBlocks]float64
 	for ph := 0; ph < NumPhases; ph++ {
 		pr := PhaseReport{
 			Phase:     Phase(ph).String(),
 			SampledNs: phaseNs[ph],
 			EstNs:     int64(float64(phaseNs[ph]) * scale),
+		}
+		if robust {
+			for i, b := range blocks {
+				means[i] = float64(b.ns[ph]) / float64(b.n)
+			}
+			slices.Sort(means[:])
+			mid := (means[medianBlocks/2-1] + means[medianBlocks/2]) / 2
+			pr.EstNs = int64(mid * float64(r.Execs))
 		}
 		if totalNs > 0 {
 			pr.SharePct = 100 * float64(phaseNs[ph]) / float64(totalNs)

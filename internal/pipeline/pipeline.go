@@ -185,6 +185,12 @@ type Machine struct {
 	// Full runs from reset (Run) never stop early.
 	LoopStop uint32
 
+	// Quotient, when non-nil, is the image's seed-quotient fact: with it,
+	// LoopStop may also compare two header visits modulo the seed word
+	// and the registers the iteration between them leaves dead (see
+	// repeats). Without it the comparison is exact.
+	Quotient *SeedQuotient
+
 	windowStart uint64 // cycle at which the active trigger window began
 	windowIdx   int    // trigger occurrence index (-1 before first trigger)
 
@@ -195,6 +201,7 @@ type Machine struct {
 
 	snap *Snapshot // snapshot the current run resumed from; nil for full runs
 	loop loopMark  // last LoopStop visit, for repeats
+	quot quotCheck // the iteration since the last LoopStop visit, under Quotient
 
 	fetchHook func(addr uint32, hw uint16) uint16
 	loadHook  func(addr uint32, size uint32, val uint32) uint32
@@ -221,6 +228,7 @@ type loopMark struct {
 	flags       isa.Flags
 	triggers    int
 	flashWrites int
+	seed        uint32 // the seed word, when the images blank it
 	hasMem      bool   // mem holds this visit's memory image
 	mem         []byte // MemSnapshot.AppendDirty image
 	scratch     []byte // reused buffer for the next image
@@ -243,6 +251,7 @@ func NewMachine(b *firmware.Board) *Machine {
 		m.windowIdx = count - 1
 	}
 	m.fetchHook, m.loadHook = m.fetchOverride, m.loadOverride
+	m.quot.exec = m.quotExec
 	m.hook(true)
 	return m
 }
@@ -329,6 +338,7 @@ func (m *Machine) resetRun() {
 	m.pending = [ringSize]pendingStep{}
 	m.snap = nil
 	m.loop.valid = false
+	m.disarm()
 }
 
 // run is the machine's main loop, continuing from the current machine and
@@ -347,6 +357,7 @@ func (m *Machine) run(maxCycles uint64) Result {
 		loopStop = 0
 	}
 	m.loop.valid = false
+	m.quot.on = loopStop != 0 && m.quotientApplies(loopStop)
 	// watch filters the addresses that need a closer look — stop
 	// symbols and the loop header — by one bit test per step.
 	var watch [stopFilterWords]uint64
@@ -497,26 +508,240 @@ func (m *Machine) dispatch(ev Event) {
 // end StopHung at its budget. Registers pick the candidate visit; memory
 // equality is checked in full, through the dirty pages of the snapshot
 // the run resumed from.
+//
+// Under a Quotient, the seed word and the registers the iteration since
+// the previous visit left dead may differ as well, provided that
+// iteration, watched by quotExec, kept the seed out of everything else
+// (see quotCheck) and the run has made no flash store since the
+// snapshot. Every later iteration then replays the watched one with only
+// the delay routine's count changed. When the watch failed the
+// comparison is exact, the seed word included.
 func (m *Machine) repeats(last int64) bool {
 	cpu, b, l := m.Board.CPU, m.Board, &m.loop
 	if m.windowIdx < 0 || int64(cpu.Cycles)-int64(m.windowStart) <= last || !m.quiet() {
 		l.valid = false
+		m.disarm()
 		return false
 	}
-	if l.valid && l.regs == cpu.R && l.flags == cpu.Flags &&
-		l.triggers == b.TriggerCount && l.flashWrites == b.FlashWrites {
-		l.scratch = m.snap.mem.AppendDirty(l.scratch[:0])
+	if l.valid && l.flags == cpu.Flags &&
+		l.triggers == b.TriggerCount && l.flashWrites == b.FlashWrites && m.regsRepeat() {
+		l.scratch = m.appendImage(l.scratch[:0])
 		if l.hasMem && bytes.Equal(l.scratch, l.mem) {
+			m.disarm()
 			return true
 		}
 		l.mem, l.scratch = l.scratch, l.mem
 		l.hasMem = true
-		return false
+	} else if m.quot.on {
+		// Under a Quotient the registers rarely repeat exactly, so every
+		// visit is a candidate: image it now to compare at the next one.
+		l.mem = m.appendImage(l.mem[:0])
+		l.hasMem = true
+	} else {
+		l.hasMem = false
 	}
-	l.valid, l.hasMem = true, false
+	l.valid = true
 	l.regs, l.flags = cpu.R, cpu.Flags
 	l.triggers, l.flashWrites = b.TriggerCount, b.FlashWrites
+	if m.quot.on {
+		l.seed, _ = m.Board.Mem.ReadWord(m.Quotient.Seed)
+		m.arm()
+	}
 	return false
+}
+
+// regsRepeat compares the registers at this LoopStop visit with the
+// marked visit's: exactly, or modulo the dead registers when the watched
+// iteration kept the seed contained.
+func (m *Machine) regsRepeat() bool {
+	cpu, l, c := m.Board.CPU, &m.loop, &m.quot
+	if !c.armed || c.bad {
+		if !c.on {
+			return l.regs == cpu.R
+		}
+		seed, _ := m.Board.Mem.ReadWord(m.Quotient.Seed)
+		return l.regs == cpu.R && l.seed == seed
+	}
+	// Seed-dependent registers must be dead at the header, like every
+	// register that differs.
+	if c.tainted&c.live != 0 {
+		return false
+	}
+	for r := range cpu.R {
+		if l.regs[r] != cpu.R[r] && c.live&(1<<r) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// appendImage appends the dirty-page memory image for repeats, with the
+// seed word blanked when a Quotient applies (regsRepeat compares the seed
+// separately whenever the comparison is exact).
+func (m *Machine) appendImage(dst []byte) []byte {
+	if !m.quot.on {
+		return m.snap.mem.AppendDirty(dst)
+	}
+	r, _ := m.Board.Mem.Region(m.Quotient.Seed, 4)
+	w := r.Data[m.Quotient.Seed-r.Base:][:4]
+	saved := [4]byte(w)
+	clear(w)
+	dst = m.snap.mem.AppendDirty(dst)
+	copy(w, saved[:])
+	return dst
+}
+
+// SeedQuotient is a static fact about a firmware image's seed-advancing
+// delay routine; internal/analyze derives it (analyze.DelayQuotient).
+// Executed from Entry with any value in the seed word and any register
+// values, the routine does not fault, leaves [Entry, End) only by
+// returning to the lr it was entered with, and stores nothing but the
+// seed word. Before writing them it reads only the registers in Reads. On
+// return, the registers in Clean and the flags hold the same values
+// whatever the seed, the registers in Tainted may depend on it, and every
+// other register is unchanged. The seed changes only how many cycles the
+// routine takes.
+type SeedQuotient struct {
+	Seed       uint32 // RAM address of the seed word
+	Entry, End uint32 // the routine's code range
+	Reads      uint16 // registers read before written (bit r: register r)
+	Clean      uint16 // registers overwritten with seed-independent values
+	Tainted    uint16 // registers left holding seed-dependent values
+}
+
+// quotCheck watches one loop iteration, from a LoopStop visit to the
+// next, through the CPU's OnExec hook, which is installed only for that
+// iteration. It records the registers the iteration reads before writing
+// them (live: every other register is dead at the header, its value
+// there never used) and which registers hold seed-dependent values. It
+// fails the iteration (bad) if the seed could have reached anything but
+// the delay routine's cycle count: a seed-dependent register read outside
+// the routine, an instruction outside it fetching, loading or storing any
+// byte of the seed word, the routine entered anywhere but at its entry,
+// or entered with a seed-dependent lr. Nothing here assumes the glitched
+// program follows its static control flow: the check is over the
+// instructions actually executed.
+type quotCheck struct {
+	on      bool // Quotient applies to this run
+	armed   bool // the hook is installed
+	bad     bool
+	inDelay bool   // executing the delay routine
+	ret     uint32 // the routine's return address
+	live    uint16 // registers read before written since the mark
+	written uint16
+	tainted uint16 // registers holding seed-dependent values
+	exec    func(addr uint32, in isa.Inst)
+	prev    func(addr uint32, in isa.Inst) // the OnExec hook arm replaced
+}
+
+// quotientApplies reports whether the Quotient can serve a run stopping
+// at loop header loopStop: the seed word is mapped, and the delay routine
+// holds neither the header nor a stop symbol.
+func (m *Machine) quotientApplies(loopStop uint32) bool {
+	q := m.Quotient
+	if q == nil {
+		return false
+	}
+	if _, ok := m.Board.Mem.Region(q.Seed, 4); !ok {
+		return false
+	}
+	in := func(a uint32) bool { return a >= q.Entry && a < q.End }
+	if in(loopStop) {
+		return false
+	}
+	for a := range m.Stops {
+		if in(a) {
+			return false
+		}
+	}
+	return true
+}
+
+// arm starts watching the iteration that begins at this LoopStop visit.
+// A run that has made a flash store since the snapshot is not watched:
+// the store may have rewritten the code the Quotient describes.
+func (m *Machine) arm() {
+	c := &m.quot
+	if m.Board.FlashWrites != m.snap.flashWrites {
+		m.disarm()
+		return
+	}
+	h := &m.Board.CPU.Hooks
+	if !c.armed {
+		c.prev, h.OnExec = h.OnExec, c.exec
+		c.armed = true
+	}
+	c.bad, c.inDelay = false, false
+	c.live, c.written, c.tainted = 0, 0, 0
+}
+
+// disarm removes the iteration watch, if installed.
+func (m *Machine) disarm() {
+	c := &m.quot
+	if c.armed {
+		m.Board.CPU.Hooks.OnExec = c.prev
+		c.armed, c.prev = false, nil
+	}
+}
+
+// quotExec is quotCheck's OnExec hook. It chains to the hook it replaced.
+func (m *Machine) quotExec(pc uint32, in isa.Inst) {
+	c, q, cpu := &m.quot, m.Quotient, m.Board.CPU
+	if c.prev != nil {
+		c.prev(pc, in)
+	}
+	if c.bad {
+		return
+	}
+	inDelay := pc >= q.Entry && pc < q.End
+	if c.inDelay {
+		if inDelay {
+			return
+		}
+		c.inDelay = false
+		if pc != c.ret {
+			c.bad = true
+			return
+		}
+	}
+	if inDelay {
+		// The fact summarizes the whole call.
+		c.ret = cpu.R[isa.LR] &^ 1
+		if pc != q.Entry || c.ret >= q.Entry && c.ret < q.End {
+			c.bad = true
+			return
+		}
+		c.read(q.Reads)
+		c.write(q.Clean | q.Tainted)
+		c.tainted |= q.Tainted
+		c.inDelay = true
+		return
+	}
+	reads, writes := in.RegUse()
+	c.read(reads)
+	addr, n := cpu.Footprint(pc, in)
+	if overlaps(pc, uint32(in.Size), q.Seed, 4) || n > 0 && overlaps(addr, n, q.Seed, 4) {
+		c.bad = true
+	}
+	c.write(writes)
+}
+
+func (c *quotCheck) read(regs uint16) {
+	regs &^= 1 << isa.PC
+	if regs&c.tainted != 0 {
+		c.bad = true
+	}
+	c.live |= regs &^ c.written
+}
+
+func (c *quotCheck) write(regs uint16) {
+	c.written |= regs
+	c.tainted &^= regs
+}
+
+// overlaps reports whether [a, a+n) and [b, b+m) share a byte.
+func overlaps(a, n, b, m uint32) bool {
+	return uint64(a) < uint64(b)+uint64(m) && uint64(b) < uint64(a)+uint64(n)
 }
 
 // Snapshot is a restorable capture of a machine, its CPU and its board at
@@ -619,6 +844,7 @@ func (m *Machine) RunFrom(s *Snapshot, maxCycles uint64) Result {
 
 func (m *Machine) result(reason StopReason, tag string, fault emu.FaultKind) Result {
 	m.hook(true)
+	m.disarm()
 	cpu := m.Board.CPU
 	return Result{
 		Reason: reason,
